@@ -2,17 +2,14 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error,
 3 invalid sign sequence.  Sign sequences are accepted as "+/-" strings
-("++--") or comma-separated entries ("1,1,-1,-1").  HEXAFLEX_THREADS caps
-the worker threads used for per-n rows in `table --printable`.
+("++--") or comma-separated entries ("1,1,-1,-1").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import counting, geometry, labeling, render, sequences, verify
 
@@ -52,19 +49,6 @@ def _explain_invalid(signs: tuple[int, ...]) -> str:
     )
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("HEXAFLEX_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HEXAFLEX_THREADS={raw!r} is not an integer")
-    if cap < 1:
-        raise ValueError(f"HEXAFLEX_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     print(counting.hexaflexagon_count(args.n))
     return 0
@@ -77,20 +61,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.printable:
         if args.max > args.limit:
             raise ValueError(f"max={args.max} exceeds the enumeration limit {args.limit}")
-
-        def row(n: int) -> tuple[int, int, int]:
-            return (
-                n,
-                counting.hexaflexagon_count(n),
-                geometry.printable_class_count(n, limit=args.limit),
-            )
-
-        cap = _worker_cap()
-        if cap > 1:
-            with ThreadPoolExecutor(max_workers=cap) as pool:
-                rows = list(pool.map(row, ns))
-        else:
-            rows = [row(n) for n in ns]
+        rows = [
+            (n, counting.hexaflexagon_count(n), geometry.printable_class_count(n, limit=args.limit))
+            for n in ns
+        ]
     else:
         rows = [(n, counting.hexaflexagon_count(n), None) for n in ns]
     sys.stdout.write(render.render_table(rows))

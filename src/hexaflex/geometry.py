@@ -39,6 +39,14 @@ __all__ = [
 
 DEFAULT_COUNTING_LIMIT = 26
 
+# bulk_printable packs cell ids as (cx + 512) << 11 | (cy + 512) in int32 and
+# keeps path indices (at most 4n - 2) in int16.  Every move turns by 60
+# degrees, so two moves shift a tripled coordinate by at most 3 and the 4n - 1
+# cells of a path stay within 6n - 3 of the start (1, 1).  Both fields stay in
+# range while 6n - 4 <= 512, and int16 indices hold far beyond that.
+_PACKING_MAX_N = (512 + 4) // 6
+MAX_N = min(sequences.MAX_N, _PACKING_MAX_N)
+
 
 class LatticeCell(NamedTuple):
     x: int
@@ -136,17 +144,19 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     no cell in it re-occurs, tracked with previous-occurrence indices and a
     sliding-window maximum.
     """
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the printability kernel's ceiling {MAX_N}")
     count = len(masks)
     if count == 0:
         return np.zeros(0, dtype=bool)
     path_len = 4 * n - 1
     window = 3 * n
     out = np.empty(count, dtype=bool)
-    chunk = max(1, (1 << 25) // (path_len * 8))
+    chunk = max(1, (1 << 23) // (path_len * 8))  # bytes per int64 (rows, path) array
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     for start in range(0, count, chunk):
-        block = np.asarray(masks[start : start + chunk], dtype=np.uint32)
+        block = np.asarray(masks[start : start + chunk], dtype=np.uint64)
         rows = len(block)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
         bits = ((block[:, None] >> shifts[None, :]) & 1).astype(np.int8)
         sig = bits[:, np.arange(path_len) % n]
         # exit side flips where consecutive cell signs are equal
@@ -184,10 +194,12 @@ def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int
     """Number of printable equivalence classes at length n."""
     if n < 3:
         raise ValueError(f"printable_class_count needs n >= 3, got {n}")
+    if limit > MAX_N:
+        raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the counting limit {limit}")
     masks = sequences.canonical_masks(n)
-    flags = bulk_printable(masks, n)
-    count = int(flags.sum())
-    assert len(masks) == hexaflexagon_count(n)
-    return count
+    expected = hexaflexagon_count(n)
+    if len(masks) != expected:
+        raise ArithmeticError(f"{len(masks)} classes generated at n={n}, but H({n}) = {expected}")
+    return int(bulk_printable(masks, n).sum())

@@ -4,15 +4,13 @@ A sequence (a_1, ..., a_n) with entries +1/-1 describes one strip shape;
 two sequences describe the same hexaflexagon when they differ by cyclic
 shift, reversal, or global sign inversion.  This module provides the orbit
 operations, a canonical form, the extend/reduce moves that grow and shrink
-sequences, validity (reachability from the length-3 base), and exhaustive
-enumeration of equivalence classes.
+sequences, validity (reachability from the length-3 base), and enumeration
+of every equivalence class, grown level by level by extension.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -35,7 +33,7 @@ __all__ = [
 
 SignSequence = tuple[int, ...]
 
-# cmd_enumerate-facing guard; the scan is exponential in n.
+# cmd_enumerate-facing guard; the number of classes is exponential in n.
 DEFAULT_ENUMERATION_LIMIT = 24
 
 
@@ -182,78 +180,89 @@ class ClassRecord:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive scan.  Sequences are packed into bitmasks (a_1 at the MSB,
-# bit 1 = +1) so the whole 2^n space is filtered and canonicalized with
-# vectorized integer ops.  Rotating left by r in sequence terms is a left
+# Class ladder.  Sequences are packed into uint64 bitmasks (a_1 at the MSB,
+# bit 1 = +1), so a class's canonical form is its largest orbit mask with
+# non-negative sum.  Rotating left by r in sequence terms is a left
 # bit-rotation; reversal is a bit reversal; inversion is complement.
+#
+# A sequence is valid exactly when extension moves reach it from (1, 1, 1),
+# and extension commutes with the orbit operations, so level n holds the
+# canonical forms of every one-position extension of level n - 1.
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint32)
-_SCAN_CHUNK = 1 << 22
+MAX_N = 64  # the mask width
 
-
-def _rotl(x: np.ndarray, r: int, n: int, mask: int) -> np.ndarray:
-    return ((x << np.uint32(r)) & np.uint32(mask)) | (x >> np.uint32(n - r))
+_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint64)
+_LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
+_LADDER[3].flags.writeable = False
 
 
 def _bitrev(x: np.ndarray, n: int) -> np.ndarray:
-    full = (
-        (_REV8[x & 0xFF] << np.uint32(24))
-        | (_REV8[(x >> np.uint32(8)) & 0xFF] << np.uint32(16))
-        | (_REV8[(x >> np.uint32(16)) & 0xFF] << np.uint32(8))
-        | _REV8[(x >> np.uint32(24)) & 0xFF]
-    )
-    return full >> np.uint32(32 - n)
+    full = np.zeros_like(x)
+    for byte in range(8):
+        full |= _REV8[(x >> np.uint64(8 * byte)) & np.uint64(0xFF)] << np.uint64(56 - 8 * byte)
+    return full >> np.uint64(64 - n)
 
 
-def _masks_with_ones(n: int, wanted: list[int]) -> dict[int, np.ndarray]:
-    parts: dict[int, list[np.ndarray]] = {k: [] for k in wanted}
-    for start in range(0, 1 << n, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, 1 << n)
-        x = np.arange(start, stop, dtype=np.uint32)
-        ones = _POP16[x & 0xFFFF] + _POP16[x >> np.uint32(16)]
-        for k in wanted:
-            parts[k].append(x[ones == k])
-    return {k: np.concatenate(v) for k, v in parts.items()}
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """Ascending distinct values; np.unique's hashing is far slower than a sort here."""
+    x = np.sort(x, axis=None)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
-@lru_cache(maxsize=8)
-def _canonical_masks(n: int) -> np.ndarray:
-    """Canonical bitmasks of every equivalence class, descending (= canonical order)."""
-    mask = (1 << n) - 1
-    # one representative per class has non-negative sum, so 2k >= n suffices
-    ks = [(n + s) // 2 for s in sum_set(n) if s >= 0]
-    groups = _masks_with_ones(n, ks)
-    collected = []
-    for k, x in groups.items():
-        if x.size == 0:
-            continue
-        # drop perfectly alternating strings: no equal adjacent pair
-        x = x[(x ^ _rotl(x, 1, n, mask)) != mask]
-        if x.size == 0:
-            continue
-        variants = [x, _bitrev(x, n)]
-        if 2 * k == n:  # inversion preserves the zero sum
-            variants += [x ^ np.uint32(mask), _bitrev(x, n) ^ np.uint32(mask)]
-        best = x.copy()
-        for v in variants:
-            for r in range(n):
-                if v is x and r == 0:
-                    continue
-                np.maximum(best, _rotl(v, r, n, mask) if r else v, out=best)
-        collected.append(np.unique(best))
-    out = np.sort(np.concatenate(collected))[::-1].copy()
+def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
+    """Largest rotation of each mask or of its reversal."""
+    best = x.copy()
+    mask = np.uint64((1 << n) - 1)
+    top = np.uint64(n - 1)
+    for v in (x.copy(), _bitrev(x, n)):
+        for _ in range(n):
+            np.maximum(best, v, out=best)
+            wrap = v >> top
+            v <<= np.uint64(1)
+            v &= mask
+            v |= wrap
+    return best
+
+
+def _grow(parent: np.ndarray, n: int) -> np.ndarray:
+    """Level n from level n - 1: extend everywhere, canonicalize, deduplicate."""
+    mask = np.uint64((1 << n) - 1)
+    candidates = np.empty((n - 1, len(parent)), dtype=np.uint64)
+    for b in range(n - 1):  # extend the entry at bit b of the parent
+        high = (parent >> np.uint64(b + 1)) << np.uint64(b + 2)
+        pair = ((~parent >> np.uint64(b)) & np.uint64(1)) * np.uint64(3) << np.uint64(b)
+        low = parent & np.uint64((1 << b) - 1)
+        candidates[b] = high | pair | low
+    x = _sorted_unique(candidates)
+    # canonical forms have non-negative sum: complement negative sums, and
+    # let a zero sum also try its complement
+    twice_ones = 2 * np.bitwise_count(x).astype(np.int64)
+    x[twice_ones < n] ^= mask
+    zero = twice_ones == n
+    best = _orbit_max(x, n)
+    best[zero] = np.maximum(best[zero], _orbit_max(x[zero] ^ mask, n))
+    out = _sorted_unique(best)[::-1].copy()
     out.flags.writeable = False
     return out
 
 
-_scan_lock = threading.Lock()
-
-
 def canonical_masks(n: int) -> np.ndarray:
-    """Thread-safe cached access to the canonical bitmask array for n."""
-    with _scan_lock:
-        return _canonical_masks(n)
+    """Canonical bitmasks of every class at length n, descending (= canonical order).
+
+    Levels are grown once and kept.  Threads that grow the same level at
+    once only repeat work: the first stored array wins.
+    """
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"class masks need 3 <= n <= {MAX_N}, got {n}")
+    grown = n
+    while grown not in _LADDER:
+        grown -= 1
+    for level in range(grown + 1, n + 1):
+        _LADDER.setdefault(level, _grow(_LADDER[level - 1], level))
+    return _LADDER[n]
 
 
 def signs_from_mask(m: int, n: int) -> SignSequence:
@@ -269,12 +278,13 @@ def enumerate_classes(
 ) -> list[ClassRecord]:
     """Every equivalence class at length n, canonically sorted.
 
-    Exhaustive-scan semantics: all 2^n sequences are filtered by validity and
-    deduplicated by canonical form.  The cardinality equals
-    counting.hexaflexagon_count(n).
+    The classes come from the extension ladder (see canonical_masks); their
+    number equals counting.hexaflexagon_count(n).
     """
     if n < 3:
         raise ValueError(f"enumeration needs n >= 3, got {n}")
+    if limit > MAX_N:
+        raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration limit {limit}")
     masks = canonical_masks(n)

@@ -1,11 +1,14 @@
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
+from hexaflex import geometry
 from hexaflex.cli import run
+from hexaflex.counting import hexaflexagon_count
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,22 +44,30 @@ def test_table_range_errors(capsys):
     assert "limit" in capsys.readouterr().err
 
 
-def test_threaded_table_matches_serial(capsys, monkeypatch):
+def test_table_ignores_thread_env(capsys, monkeypatch):
     monkeypatch.delenv("HEXAFLEX_THREADS", raising=False)
     assert run(["table", "--max", "10", "--printable"]) == 0
-    serial = capsys.readouterr().out
+    plain = capsys.readouterr().out
     monkeypatch.setenv("HEXAFLEX_THREADS", "2")
     assert run(["table", "--max", "10", "--printable"]) == 0
-    assert capsys.readouterr().out == serial
+    assert capsys.readouterr().out == plain
 
 
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("HEXAFLEX_THREADS", "many")
-    assert run(["table", "--max", "6", "--printable"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("HEXAFLEX_THREADS", "0")
-    assert run(["table", "--max", "6", "--printable"]) == 2
-    capsys.readouterr()
+def test_table_limit_above_ceiling_fails_fast(capsys):
+    start = time.perf_counter()
+    assert run(["table", "--max", "70", "--printable", "--limit", "70"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "limit 70" in captured.err
+    assert captured.out == ""
+
+
+def test_class_count_mismatch_is_arithmetic_failure(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "hexaflexagon_count", lambda n: hexaflexagon_count(n) + 1)
+    assert run(["table", "--max", "6", "--printable"]) == 1
+    captured = capsys.readouterr()
+    assert "internal arithmetic failure" in captured.err
+    assert captured.out == ""
 
 
 def test_enumerate(capsys):
@@ -90,6 +101,8 @@ def test_enumerate_first_class(capsys):
 def test_enumerate_limit(capsys):
     assert run(["enumerate", "--n", "30"]) == 2
     assert "limit" in capsys.readouterr().err
+    assert run(["enumerate", "--n", "5", "--limit", "65"]) == 2
+    assert "limit 65" in capsys.readouterr().err
 
 
 def test_net_stdout_matches_golden(capsys):

@@ -3,6 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hexaflex import geometry
+from hexaflex.counting import hexaflexagon_count
 from hexaflex.geometry import (
     LatticeCell,
     bulk_printable,
@@ -11,7 +13,14 @@ from hexaflex.geometry import (
     lay_strip,
     printable_class_count,
 )
-from hexaflex.sequences import canonical_masks, enumerate_classes, invert, is_valid, reverse
+from hexaflex.sequences import (
+    canonical_masks,
+    enumerate_classes,
+    extend,
+    invert,
+    is_valid,
+    reverse,
+)
 from hexaflex.verify import naive_is_printable
 
 from reference_table import KNOWN_COUNTS
@@ -123,6 +132,14 @@ def test_printable_count_limit_guard():
         printable_class_count(27)
     with pytest.raises(ValueError):
         printable_class_count(2)
+    with pytest.raises(ValueError, match="limit 65"):
+        printable_class_count(5, limit=65)
+
+
+def test_printable_count_checks_class_count(monkeypatch):
+    monkeypatch.setattr(geometry, "hexaflexagon_count", lambda n: hexaflexagon_count(n) - 1)
+    with pytest.raises(ArithmeticError):
+        printable_class_count(8)
 
 
 def test_all_valid_sequences_lay_consistently():
@@ -138,3 +155,21 @@ def test_all_valid_sequences_lay_consistently():
 
 def test_bulk_printable_empty():
     assert bulk_printable(np.zeros(0, dtype=np.uint32), 5).shape == (0,)
+
+
+def test_bulk_printable_ceiling():
+    assert geometry.MAX_N == 64
+    with pytest.raises(ValueError):
+        bulk_printable(np.zeros(1, dtype=np.uint64), geometry.MAX_N + 1)
+
+
+def test_bulk_printable_at_full_mask_width():
+    # sequences longer than 32 keep their high bits: compare with the scalar walk
+    rng = np.random.default_rng(7)
+    for n in (33, 48, 64):
+        signs = (1, 1, 1)
+        while len(signs) < n:
+            signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
+        mask = int("".join("1" if a > 0 else "0" for a in signs), 2)
+        flags = bulk_printable(np.array([mask], dtype=np.uint64), n)
+        assert bool(flags[0]) == is_printable(signs)

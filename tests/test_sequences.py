@@ -1,11 +1,16 @@
+import sys
+import threading
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexaflex import sequences
 from hexaflex.counting import hexaflexagon_count, sum_set
 from hexaflex.sequences import (
+    canonical_masks,
     canonicalize,
     cyclic_shift,
     enumerate_classes,
@@ -15,6 +20,7 @@ from hexaflex.sequences import (
     reduce,
     reduction_history,
     reverse,
+    signs_from_mask,
 )
 from hexaflex.verify import naive_classes, reachable_classes
 
@@ -156,6 +162,64 @@ def test_enumerate_classes_n6():
 def test_enumerate_matches_naive_scan():
     for n in range(3, 11):
         assert [r.signs for r in enumerate_classes(n)] == naive_classes(n)
+
+
+def test_ladder_matches_naive_scan_in_order():
+    for n in range(3, 13):
+        masks = canonical_masks(n)
+        assert masks.dtype == np.uint64
+        assert [signs_from_mask(m, n) for m in masks.tolist()] == naive_classes(n)
+
+
+def test_ladder_cardinality():
+    for n in range(3, 23):
+        assert len(canonical_masks(n)) == hexaflexagon_count(n)
+
+
+def test_ladder_step_at_full_mask_width():
+    # one parent of length 63 grown to 64 bits, against the tuple-level canonical form
+    signs = (1, 1, 1)
+    rng = np.random.default_rng(3)
+    while len(signs) < 63:
+        signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
+    parent = canonicalize(signs)
+    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
+    grown = sequences._grow(np.array([to_mask(parent)], dtype=np.uint64), 64)
+    expected = {to_mask(canonicalize(extend(parent, i))) for i in range(1, 64)}
+    assert grown.tolist() == sorted(expected, reverse=True)
+
+
+def test_ladder_grown_from_threads(monkeypatch):
+    expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
+    monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
+    targets = [18, 11, 15, 18, 7, 16]
+    results = [None] * len(targets)
+
+    def grow(slot):
+        results[slot] = {n: canonical_masks(n) for n in (targets[slot], 10, 17)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(k,)) for k in range(len(targets))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(sequences._LADDER) == list(range(3, 19))
+    for result in results:
+        for n, masks in result.items():
+            assert np.array_equal(masks, expected[n])
+
+
+def test_canonical_masks_range():
+    with pytest.raises(ValueError):
+        canonical_masks(sequences.MAX_N + 1)
+    with pytest.raises(ValueError):
+        canonical_masks(2)
 
 
 def test_enumerate_cardinality():
