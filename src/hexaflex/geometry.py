@@ -25,7 +25,6 @@ import numpy as np
 
 from .counting import hexaflexagon_count
 from . import sequences
-from .sequences import SignSequence
 
 __all__ = [
     "LatticeCell",

@@ -10,7 +10,7 @@ the path three times over the physical strip, alternating top and bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["PatternPath", "StripLabels", "build_pattern", "strip_labels"]
 

@@ -10,7 +10,7 @@ mirrored horizontally so duplex printing aligns triangle for triangle.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import TriangleStrip
 from .labeling import StripLabels

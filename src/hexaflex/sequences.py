@@ -117,49 +117,52 @@ def is_valid(s: Iterable[int]) -> bool:
     return sum(t) in sum_set(n)
 
 
-def _contract_chain(t: SignSequence) -> list[SignSequence]:
-    """Chain t -> ... -> length 3 via leftmost valid contractions."""
-    chain = [t]
-    cur = t
-    while len(cur) > 3:
-        n = len(cur)
-        for p in range(1, n + 1):
-            if cur[p - 1] == cur[p % n]:
-                shorter = reduce(cur, p)
-                if is_valid(shorter):
-                    cur = shorter
-                    break
-        else:
-            raise AssertionError(f"no valid contraction found for {cur}")
-        chain.append(cur)
-    return chain
-
-
-def _is_rotation(a: SignSequence, b: SignSequence) -> bool:
-    return len(a) == len(b) and any(
-        b[r:] + b[:r] == a for r in range(len(b))
-    )
-
-
 def reduction_history(s: Iterable[int]) -> list[int]:
     """Extension positions that replay from (1, 1, 1) to an orbit member of s.
 
-    Contracts s down to the length-3 base (inverting the whole chain if it
-    lands on all-minus), then recovers replay positions by matching each
-    extension against the next chain entry up to rotation.
+    Contracts s down to the length-3 base by the leftmost valid contraction,
+    then replays upwards: each step takes the first extension position whose
+    result is a rotation of the next chain entry.  A chain that lands on
+    (-1, -1, -1) is replayed from there against itself, which picks the same
+    positions as inverting the whole chain.
+
+    The sequence is kept as a '+'/'-' string with its sum alongside, so a
+    validity check is a sum_set lookup plus a search for an equal pair, and
+    a rotation test is a substring search in the doubled target.
     """
     t = _validate(s)
     if not is_valid(t):
         raise ValueError(f"{t} is not a valid sign sequence")
-    chain = _contract_chain(t)
-    if chain[-1] == (-1, -1, -1):
-        chain = [tuple(-a for a in u) for u in chain]
+    cur = "".join("+" if a == 1 else "-" for a in t)
+    total = sum(t)
+    chain = [cur]
+    while len(cur) > 3:
+        n = len(cur)
+        sums = sum_set(n - 1)
+        for p in range(1, n + 1):
+            a = cur[p - 1]
+            if a != cur[p % n]:
+                continue
+            # the pair (a, a) becomes one -a: the sum moves by -3a
+            shorter_total = total - 3 if a == "+" else total + 3
+            if shorter_total not in sums:
+                continue
+            b = "-" if a == "+" else "+"
+            shorter = cur[: p - 1] + b + cur[p + 1 :] if p < n else b + cur[1 : n - 1]
+            if "++" in shorter or "--" in shorter or shorter[0] == shorter[-1]:
+                cur, total = shorter, shorter_total
+                break
+        else:
+            raise AssertionError(f"no valid contraction found for {cur}")
+        chain.append(cur)
     steps: list[int] = []
-    cur = chain[-1]
-    for target in chain[-2::-1]:
+    cur = chain.pop()
+    for target in reversed(chain):
+        ring = target + target
         for i in range(1, len(cur) + 1):
-            grown = extend(cur, i)
-            if _is_rotation(grown, target):
+            a = cur[i - 1]
+            grown = cur[: i - 1] + ("--" if a == "+" else "++") + cur[i:]
+            if grown in ring:
                 steps.append(i)
                 cur = grown
                 break

@@ -2,8 +2,9 @@
 
 Everything in this module deliberately ignores the closed forms and the
 vectorized kernels: classes are deduplicated by explicit orbit scans over
-small exhaustive spaces, labels are rebuilt block by block, validity is
-rechecked by breadth-first reachability.  cmd_verify runs these suites and
+small exhaustive spaces, labels are rebuilt block by block, extension
+histories are replayed by plain tuple moves, validity is rechecked by
+breadth-first reachability.  cmd_verify runs these suites and
 reports the first counterexample, which keeps the fast paths honest.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import counting, geometry, labeling, sequences
 
@@ -22,6 +23,7 @@ __all__ = [
     "brute_self_conjugate_count",
     "naive_classes",
     "reachable_classes",
+    "naive_reduction_history",
     "blockwise_strip_labels",
     "naive_is_printable",
     "run_suites",
@@ -104,6 +106,57 @@ def reachable_classes(n: int) -> set[tuple[int, ...]]:
                 grown.add(sequences.canonicalize(sequences.extend(signs, i)))
         level = grown
     return level
+
+
+def _contract_chain(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Chain t -> ... -> length 3 via leftmost valid contractions."""
+    chain = [t]
+    cur = t
+    while len(cur) > 3:
+        n = len(cur)
+        for p in range(1, n + 1):
+            if cur[p - 1] == cur[p % n]:
+                shorter = sequences.reduce(cur, p)
+                if sequences.is_valid(shorter):
+                    cur = shorter
+                    break
+        else:
+            raise AssertionError(f"no valid contraction found for {cur}")
+        chain.append(cur)
+    return chain
+
+
+def _is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return len(a) == len(b) and any(
+        b[r:] + b[:r] == a for r in range(len(b))
+    )
+
+
+def naive_reduction_history(s: Iterable[int]) -> list[int]:
+    """sequences.reduction_history by plain tuple moves: the slow reference.
+
+    Contracts s down to the length-3 base (inverting the whole chain if it
+    lands on all-minus), then recovers replay positions by matching each
+    extension against the next chain entry up to rotation.
+    """
+    t = sequences._validate(s)
+    if not sequences.is_valid(t):
+        raise ValueError(f"{t} is not a valid sign sequence")
+    chain = _contract_chain(t)
+    if chain[-1] == (-1, -1, -1):
+        chain = [tuple(-a for a in u) for u in chain]
+    steps: list[int] = []
+    cur = chain[-1]
+    for target in chain[-2::-1]:
+        for i in range(1, len(cur) + 1):
+            grown = sequences.extend(cur, i)
+            if _is_rotation(grown, target):
+                steps.append(i)
+                cur = grown
+                break
+        else:
+            raise AssertionError(f"no extension of {cur} matches {target}")
+    return steps
 
 
 def blockwise_strip_labels(
@@ -248,7 +301,13 @@ def _suite_labeling(max_n: int) -> None:
     _check(tri.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2), f"labeling: trihexa bottom row {tri.bottom}")
     for n in range(3, min(max_n, 12) + 1):
         for record in sequences.enumerate_classes(n):
-            pattern = labeling.build_pattern(sequences.reduction_history(record.signs))
+            history = sequences.reduction_history(record.signs)
+            naive = naive_reduction_history(record.signs)
+            _check(
+                history == naive,
+                f"labeling: history {history} != naive {naive} for {record.signs}",
+            )
+            pattern = labeling.build_pattern(history)
             for glue in (False, True):
                 fast = labeling.strip_labels(pattern, glue)
                 slow = blockwise_strip_labels(pattern, glue)

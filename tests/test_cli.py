@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -198,5 +200,18 @@ def test_console_script():
     if exe is None:
         pytest.skip("console script not on PATH (package not installed)")
     proc = subprocess.run([exe, "count", "--n", "6"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "3\n"
+
+
+@pytest.mark.parametrize("module", ["hexaflex", "hexaflex.cli"])
+def test_python_m(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "count", "--n", "6"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"

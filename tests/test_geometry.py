@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -173,3 +174,25 @@ def test_bulk_printable_at_full_mask_width():
         mask = int("".join("1" if a > 0 else "0" for a in signs), 2)
         flags = bulk_printable(np.array([mask], dtype=np.uint64), n)
         assert bool(flags[0]) == is_printable(signs)
+
+
+def test_bulk_matches_scalar_past_the_table():
+    # H_p has no table past n = 26: check the kernel against the scalar walk
+    # on seeded valid sequences instead of growing the class ladder
+    rng = random.Random(2024)
+    seen = set()
+    for n in range(27, 41):
+        batch = []
+        for _ in range(20):
+            signs = (1, 1, 1)
+            while len(signs) < n:
+                signs = extend(signs, rng.randint(1, len(signs)))
+            batch.append(signs)
+        masks = np.array(
+            [int("".join("1" if a > 0 else "0" for a in signs), 2) for signs in batch],
+            dtype=np.uint64,
+        )
+        for signs, flag in zip(batch, bulk_printable(masks, n)):
+            assert bool(flag) == is_printable(signs)
+            seen.add(bool(flag))
+    assert seen == {True, False}

@@ -1,0 +1,34 @@
+"""Every name a module of the package imports is used or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "hexaflex").glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return imported - used - exported
+
+
+def test_package_modules_found():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "__main__.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()

@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 from itertools import product
@@ -22,7 +23,7 @@ from hexaflex.sequences import (
     reverse,
     signs_from_mask,
 )
-from hexaflex.verify import naive_classes, reachable_classes
+from hexaflex.verify import naive_classes, naive_reduction_history, reachable_classes
 
 
 @st.composite
@@ -137,6 +138,40 @@ def test_reduction_history_examples():
 def test_reduction_history_rejects_invalid():
     with pytest.raises(ValueError):
         reduction_history((1, -1, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [(1, 1), (1, 1, 0), (1, -1, 1, -1), (1, 1, 1, 1), (-1, -1, -1, -1, -1)],
+)
+def test_reduction_history_errors_match_naive(signs):
+    with pytest.raises(ValueError) as fast:
+        reduction_history(signs)
+    with pytest.raises(ValueError) as naive:
+        naive_reduction_history(signs)
+    assert str(fast.value) == str(naive.value)
+
+
+def test_reduction_history_matches_naive_every_class():
+    for n in range(3, 19):
+        for record in enumerate_classes(n):
+            assert reduction_history(record.signs) == naive_reduction_history(record.signs)
+
+
+def test_reduction_history_matches_naive_on_orbit_members():
+    # non-canonical inputs, as `net --signs` passes them, past the n = 18 classes
+    rng = random.Random(3)
+    for n in range(19, 49):
+        for _ in range(4):
+            signs = (1, 1, 1)
+            while len(signs) < n:
+                signs = extend(signs, rng.randint(1, len(signs)))
+            signs = cyclic_shift(signs, rng.randrange(n))
+            if rng.random() < 0.5:
+                signs = reverse(signs)
+            if rng.random() < 0.5:
+                signs = invert(signs)
+            assert reduction_history(signs) == naive_reduction_history(signs)
 
 
 @given(valid_sequences())
