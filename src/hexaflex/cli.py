@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,6 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexaflex",
@@ -145,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enumerate_ = sub.add_parser("enumerate", help="JSONL records of every class at n")
     enumerate_.add_argument("--n", type=int, required=True)
-    enumerate_.add_argument("--format", choices=["jsonl"], default="jsonl")
     enumerate_.add_argument(
         "--with-labels", action="store_true", help="include the face label sequence"
     )

@@ -38,13 +38,15 @@ __all__ = [
 
 DEFAULT_COUNTING_LIMIT = 26
 
-# bulk_printable packs cell ids as (cx + 512) << 11 | (cy + 512) in int32 and
-# keeps path indices (at most 4n - 2) in int16.  Every move turns by 60
-# degrees, so two moves shift a tripled coordinate by at most 3 and the 4n - 1
-# cells of a path stay within 6n - 3 of the start (1, 1).  Both fields stay in
-# range while 6n - 4 <= 512, and int16 indices hold far beyond that.
-_PACKING_MAX_N = (512 + 4) // 6
+# bulk_printable sorts one int32 key per path cell j: the cell's tripled centroid in two
+# _COORD_BITS fields offset by _ORIGIN, above _INDEX_BITS of j, 30 bits in all.  Two moves
+# shift a tripled coordinate by at most 3, so a path's 4n - 1 cells stay within 6n - 3 of (1, 1).
+_COORD_BITS, _INDEX_BITS = 11, 8
+_ORIGIN = 1 << (_COORD_BITS - 1)
+# a field holds -_ORIGIN.._ORIGIN - 1, so 1 + (6n - 3) < _ORIGIN; and j <= 4n - 2 < 2**_INDEX_BITS
+_PACKING_MAX_N = min((_ORIGIN + 1) // 6, ((1 << _INDEX_BITS) + 1) // 4)
 MAX_N = min(sequences.MAX_N, _PACKING_MAX_N)
+_CHUNK_BYTES = 1 << 21  # per int32 (rows, path) key array in bulk_printable
 
 
 class LatticeCell(NamedTuple):
@@ -135,57 +137,54 @@ def is_printable(s: Iterable[int]) -> bool:
     return False
 
 
+# A walk state is a + 6 * (exit side is right); equal signs before a move flip the side.
+# _MOVES[12 * equal + state] = _STEP[next] << 4 | next; _STEP moves the key's cell by a, j by 1.
+_NEXT = [(i + 1 - 2 * d) % 6 + 6 * d for i in range(24) for d in [i // 6 % 2 ^ i // 12]]
+_STEP = [(x << _COORD_BITS + _INDEX_BITS) + (y << _INDEX_BITS) + 1 for x, y in zip(_DX, _DY)] * 2
+_MOVES = np.array([_STEP[t] << 4 | t for t in _NEXT], dtype=np.int32)
+
+
 def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     """Printability flags for an array of sign bitmasks, vectorized.
 
-    One 4n-1 cell path per class covers all n shift windows: window r holds
-    the cells of the shift-r strip up to congruence.  A window is clean when
-    no cell in it re-occurs, tracked with previous-occurrence indices and a
-    sliding-window maximum.
+    One 4n-1 cell path per class covers all n shift windows: window r, cells
+    r..r+3n-1, holds the shift-r strip up to congruence.  Sorted keys give g[p],
+    the index where cell p < n next recurs.  Cells p + n and q + n meet iff cells
+    p and q do (the same signs lay them, turned or mirrored), so window r repeats
+    a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
     """
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the printability kernel's ceiling {MAX_N}")
-    count = len(masks)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"n={n} is outside the printability kernel's range 3..{MAX_N}")
     path_len = 4 * n - 1
-    window = 3 * n
-    out = np.empty(count, dtype=bool)
-    chunk = max(1, (1 << 23) // (path_len * 8))  # bytes per int64 (rows, path) array
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    for start in range(0, count, chunk):
+    out = np.empty(len(masks), dtype=bool)
+    chunk = _CHUNK_BYTES // (path_len * 4)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
+    index_mask = (1 << _INDEX_BITS) - 1
+    r = np.arange(n, dtype=np.int16)[:, None]
+    for start in range(0, len(masks), chunk):
         block = np.asarray(masks[start : start + chunk], dtype=np.uint64)
         rows = len(block)
-        bits = ((block[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        sig = bits[:, np.arange(path_len) % n]
-        # exit side flips where consecutive cell signs are equal
-        flips = (sig[:, 1 : path_len - 1] == sig[:, : path_len - 2]).astype(np.int8)
-        side = np.where(np.cumsum(flips, axis=1) % 2 == 1, -1, 1).astype(np.int8)
-        a = np.zeros((rows, path_len - 1), dtype=np.int64)
-        a[:, 1:] = np.cumsum(side, axis=1)
-        a %= 6
-        dx = np.asarray(_DX, dtype=np.int64)[a]
-        dy = np.asarray(_DY, dtype=np.int64)[a]
-        cx = np.ones((rows, path_len), dtype=np.int64)
-        cy = np.ones((rows, path_len), dtype=np.int64)
-        np.cumsum(dx, axis=1, out=dx)
-        np.cumsum(dy, axis=1, out=dy)
-        cx[:, 1:] += dx
-        cy[:, 1:] += dy
-        ids = ((cx + 512) << 11 | (cy + 512)).astype(np.int32)
-        order = np.argsort(ids, axis=1, kind="stable")
-        sorted_ids = np.take_along_axis(ids, order, axis=1)
-        same = sorted_ids[:, 1:] == sorted_ids[:, :-1]
-        prev = np.full((rows, path_len), -1, dtype=np.int16)
-        np.put_along_axis(
-            prev,
-            order[:, 1:],
-            np.where(same, order[:, :-1], -1).astype(np.int16),
-            axis=1,
-        )
-        windows = np.lib.stride_tricks.sliding_window_view(prev, window, axis=1)
-        worst = windows.max(axis=2)  # (rows, n)
-        out[start : start + chunk] = (worst < np.arange(n, dtype=np.int16)).any(axis=1)
+        signs = (block >> shifts) & np.uint64(1)  # (n, rows): row k holds sign k
+        equal12 = 12 * (signs == np.roll(signs, -1, axis=0)).astype(np.int32)
+        walk = np.empty((path_len, rows), dtype=np.int32)  # walk[j]: the keys of cell j
+        walk[0] = (1 + _ORIGIN) << (_COORD_BITS + _INDEX_BITS) | (1 + _ORIGIN) << _INDEX_BITS
+        walk[1] = walk[0] + _STEP[0]
+        state = np.zeros(rows, dtype=np.int32)
+        for j in range(2, path_len):
+            code = _MOVES.take(equal12[(j - 2) % n] + state)
+            state = code & 15
+            np.add(walk[j - 1], code >> 4, out=walk[j])
+        keys = np.ascontiguousarray(walk.T)
+        keys.sort(axis=1)
+        lo, hi = keys.ravel()[:-1], keys.ravel()[1:]
+        # equal cells, the first at an index below n; never across rows, as every path
+        # holds cells (1, 1) and (2, 2): a row's last cell is above the next row's first
+        at = np.flatnonzero(((lo ^ hi) <= index_mask) & ((lo & index_mask) < n))
+        g = np.full((n, rows), path_len, dtype=np.int16)
+        g.ravel()[(lo[at] & index_mask) * rows + at // path_len] = hi[at] & index_mask
+        clean = np.minimum.accumulate(g[::-1], axis=0)[::-1] >= r + 3 * n
+        clean[1:] &= np.minimum.accumulate(g[:-1], axis=0) >= r[1:] + 2 * n
+        out[start : start + chunk] = clean.any(axis=0)
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hexaflex import geometry
+from hexaflex import cli, geometry
 from hexaflex.cli import run
 from hexaflex.counting import hexaflexagon_count
 
@@ -193,6 +193,24 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["net"])  # needs --signs or --n
     assert exc.value.code == 2
+
+
+def test_run_back_to_back_keeps_no_state(capsys):
+    # the parser is built once per process; every call still starts from the defaults
+    assert run(["net", "--signs", "+++", "--no-glue"]) == 0
+    assert capsys.readouterr().out.count("<polygon") == 9
+    assert run(["net", "--signs", "+++"]) == 0
+    assert capsys.readouterr().out.count("<polygon") == 10  # 9 triangles plus glue
+    with pytest.raises(SystemExit):
+        run(["net", "--signs", "+++", "--side", "top"])
+    assert run(["net", "--signs", "+++"]) == 0
+    assert capsys.readouterr().out.count("<polygon") == 10
+    assert run(["enumerate", "--n", "6", "--with-labels"]) == 0
+    assert all("labels" in json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert run(["enumerate", "--n", "6"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 3 and not any("labels" in record for record in records)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_console_script():

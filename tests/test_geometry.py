@@ -158,10 +158,32 @@ def test_bulk_printable_empty():
     assert bulk_printable(np.zeros(0, dtype=np.uint32), 5).shape == (0,)
 
 
+def test_bulk_printable_across_chunk_boundaries():
+    # tile the n = 12 classes past two chunks with an odd remainder
+    n = 12
+    masks = canonical_masks(n)
+    flags = bulk_printable(masks, n)
+    chunk = geometry._CHUNK_BYTES // ((4 * n - 1) * 4)
+    count = 2 * chunk + 2 * len(masks) + 1
+    tiled = bulk_printable(np.resize(masks, count), n)
+    assert np.array_equal(tiled, np.resize(flags, count))
+    records = enumerate_classes(n)
+    for boundary in (chunk, 2 * chunk):
+        for row in (boundary - 1, boundary):
+            assert bool(tiled[row]) == is_printable(records[row % len(masks)].signs)
+    assert {bool(flag) for flag in flags} == {True, False}
+
+
 def test_bulk_printable_ceiling():
     assert geometry.MAX_N == 64
     with pytest.raises(ValueError):
         bulk_printable(np.zeros(1, dtype=np.uint64), geometry.MAX_N + 1)
+
+
+def test_bulk_printable_rejects_short_sequences():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError):
+            bulk_printable(np.ones(3, dtype=np.uint64), n)
 
 
 def test_bulk_printable_at_full_mask_width():
