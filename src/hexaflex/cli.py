@@ -61,7 +61,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     ns = range(args.min, args.max + 1)
     if args.printable:
         if args.max > args.limit:
-            raise ValueError(f"max={args.max} exceeds the enumeration limit {args.limit}")
+            raise ValueError(f"max={args.max} exceeds the counting limit {args.limit}")
         rows = [
             (n, counting.hexaflexagon_count(n), geometry.printable_class_count(n, limit=args.limit))
             for n in ns

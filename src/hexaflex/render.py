@@ -1,9 +1,10 @@
 """Deterministic SVG nets and CSV count tables.
 
-Floating point appears here and only here: corner positions are projected
-from the exact lattice coordinates at the last moment, and every coordinate
-is formatted through one fixed-precision helper so repeated runs emit
-byte-identical documents.  The front face shows the top labels; the back is
+Floating point appears only here and in its slow reference,
+verify.naive_render_strip: corner positions are projected from the exact
+lattice coordinates at the last moment, and every coordinate is formatted
+through one fixed-precision helper so repeated runs emit byte-identical
+documents.  The front face shows the top labels; the back is
 mirrored horizontally so duplex printing aligns triangle for triangle.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .geometry import TriangleStrip
+from .geometry import LatticeCell, TriangleStrip
 from .labeling import StripLabels
 
 __all__ = ["render_strip", "render_table"]
@@ -24,6 +25,11 @@ _MARGIN = 0.25  # lattice units around the strip
 def _fmt(v: float) -> str:
     text = f"{v:.3f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+# Each cell's edges as index pairs into LatticeCell.corners(), smaller corner
+# first: up cells give (x,y),(x+1,y),(x,y+1), down cells (x+1,y),(x,y+1),(x+1,y+1).
+_EDGES = {"up": ((0, 2), (0, 1), (2, 1)), "down": ((1, 0), (1, 2), (0, 2))}
 
 
 def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front", scale: float = 40.0) -> str:
@@ -39,11 +45,27 @@ def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front",
         raise ValueError(
             f"label rows of length {len(labels.top)} do not fit {len(strip.cells)} cells"
         )
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    row = labels.top if side == "front" else labels.bottom
+    # the corner table and edge sets die with _svg_lines, before the join
+    parts = _svg_lines(strip.cells, row, side, scale)
+    parts.append("")  # the closing newline, without copying the document again
+    return "\n".join(parts)
 
-    corner_sets = [cell.corners() for cell in strip.cells]
-    points = {c for corners in corner_sets for c in corners}
+
+def _svg_lines(
+    cells: Sequence[LatticeCell], row: Sequence[int], side: str, scale: float
+) -> list[str]:
+    """The document's lines; each distinct corner is projected and formatted once."""
+    corner_sets = [cell.corners() for cell in cells]
+    # distinct corners in sorted order, so an edge between ranks i < j sorts
+    # as the integer i * size + j
+    points = sorted({c for corners in corner_sets for c in corners})
+    size = len(points)
+    rank = {c: i for i, c in enumerate(points)}
     xs = [a + b / 2.0 for a, b in points]
     ys = [b * _SQRT3_2 for a, b in points]
     xmin, xmax = min(xs) - _MARGIN, max(xs) + _MARGIN
@@ -57,41 +79,13 @@ def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front",
         # flip y: lattice y grows upward, SVG y grows downward
         return ((x - xmin) * scale, (ymax - b * _SQRT3_2) * scale)
 
+    fx, fy = [], []
+    for c in points:
+        x, y = project(c)
+        fx.append(_fmt(x))
+        fy.append(_fmt(y))
     width = _fmt((xmax - xmin) * scale)
     height = _fmt((ymax - ymin) * scale)
-    row = labels.top if side == "front" else labels.bottom
-
-    polygons = []
-    texts = []
-    for cell_corners, value in zip(corner_sets, row):
-        pts = [project(c) for c in cell_corners]
-        point_attr = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        polygons.append(f'  <polygon points="{point_attr}"/>')
-        cx = sum(x for x, _ in pts) / 3.0
-        cy = sum(y for _, y in pts) / 3.0
-        texts.append(f'  <text x="{_fmt(cx)}" y="{_fmt(cy)}">{value}</text>')
-
-    fold_edges = set()
-    for first, second in zip(corner_sets, corner_sets[1:]):
-        shared = tuple(sorted(set(first) & set(second)))
-        fold_edges.add(shared)
-    solid_edges = set()
-    for corners in corner_sets:
-        for i in range(3):
-            edge = tuple(sorted((corners[i], corners[(i + 1) % 3])))
-            if edge not in fold_edges:
-                solid_edges.add(edge)
-
-    def edge_lines(edges: set, cls: str) -> list[str]:
-        lines = []
-        for (c1, c2) in sorted(edges):
-            (x1, y1), (x2, y2) = project(c1), project(c2)
-            lines.append(
-                f'  <line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}"'
-                f' x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
-            )
-        return lines
-
     font = _fmt(scale * 0.4)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -105,12 +99,34 @@ def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front",
         " text-anchor: middle; dominant-baseline: central; fill: black; }",
         "  </style>",
     ]
-    parts.extend(polygons)
-    parts.extend(edge_lines(solid_edges, "solid"))
-    parts.extend(edge_lines(fold_edges, "fold"))
+
+    texts = []
+    edges = set()
+    fold_edges = set()
+    previous: list[int] = []
+    for cell, corners, value in zip(cells, corner_sets, row):
+        p, q, r = ranks = [rank[c] for c in corners]
+        parts.append(f'  <polygon points="{fx[p]},{fy[p]} {fx[q]},{fy[q]} {fx[r]},{fy[r]}"/>')
+        (px, py), (qx, qy), (rx, ry) = map(project, corners)
+        cx, cy = _fmt((px + qx + rx) / 3.0), _fmt((py + qy + ry) / 3.0)
+        texts.append(f'  <text x="{cx}" y="{cy}">{value}</text>')
+        current = [ranks[i] * size + ranks[j] for i, j in _EDGES[cell.orient]]
+        # consecutive cells are neighbours: the edge they share is a fold
+        for edge in current:
+            if edge in previous:
+                fold_edges.add(edge)
+        edges.update(current)
+        previous = current
+
+    for lines, cls in ((edges - fold_edges, "solid"), (fold_edges, "fold")):
+        for edge in sorted(lines):
+            i, j = divmod(edge, size)
+            parts.append(
+                f'  <line class="{cls}" x1="{fx[i]}" y1="{fy[i]}" x2="{fx[j]}" y2="{fy[j]}"/>'
+            )
     parts.extend(texts)
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 def render_table(rows: Sequence[tuple[int, int, Optional[int]]]) -> str:

@@ -4,8 +4,9 @@ Everything in this module deliberately ignores the closed forms and the
 vectorized kernels: classes are deduplicated by explicit orbit scans over
 small exhaustive spaces, labels are rebuilt block by block, extension
 histories are replayed by plain tuple moves, validity is rechecked by
-breadth-first reachability.  cmd_verify runs these suites and
-reports the first counterexample, which keeps the fast paths honest.
+breadth-first reachability, SVG nets are drawn corner by corner.  cmd_verify
+runs these suites and reports the first counterexample, which keeps the fast
+paths honest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional
 
-from . import counting, geometry, labeling, sequences
+from . import counting, geometry, labeling, render, sequences
 
 __all__ = [
     "brute_necklace_count",
@@ -26,6 +27,7 @@ __all__ = [
     "naive_reduction_history",
     "blockwise_strip_labels",
     "naive_is_printable",
+    "naive_render_strip",
     "run_suites",
 ]
 
@@ -211,6 +213,98 @@ def naive_is_printable(signs: tuple[int, ...]) -> bool:
         if len(set(strip.cells)) == len(strip.cells):
             result = True
     return result
+
+
+def naive_render_strip(
+    strip: geometry.TriangleStrip,
+    labels: labeling.StripLabels,
+    side: str = "front",
+    scale: float = 40.0,
+) -> str:
+    """render.render_strip corner by corner: the slow reference, byte for byte.
+
+    Projects and formats every corner again for each polygon and edge that
+    touches it, and finds each fold edge by intersecting the corner sets of
+    consecutive cells.
+    """
+    if side not in ("front", "back"):
+        raise ValueError(f"side must be 'front' or 'back', got {side!r}")
+    if len(labels.top) != len(strip.cells):
+        raise ValueError(
+            f"label rows of length {len(labels.top)} do not fit {len(strip.cells)} cells"
+        )
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+
+    corner_sets = [cell.corners() for cell in strip.cells]
+    points = {c for corners in corner_sets for c in corners}
+    xs = [a + b / 2.0 for a, b in points]
+    ys = [b * render._SQRT3_2 for a, b in points]
+    xmin, xmax = min(xs) - render._MARGIN, max(xs) + render._MARGIN
+    ymin, ymax = min(ys) - render._MARGIN, max(ys) + render._MARGIN
+
+    def project(c: tuple[int, int]) -> tuple[float, float]:
+        a, b = c
+        x = a + b / 2.0
+        if side == "back":
+            x = (xmin + xmax) - x
+        # flip y: lattice y grows upward, SVG y grows downward
+        return ((x - xmin) * scale, (ymax - b * render._SQRT3_2) * scale)
+
+    width = render._fmt((xmax - xmin) * scale)
+    height = render._fmt((ymax - ymin) * scale)
+    row = labels.top if side == "front" else labels.bottom
+
+    polygons = []
+    texts = []
+    for cell_corners, value in zip(corner_sets, row):
+        pts = [project(c) for c in cell_corners]
+        point_attr = " ".join(f"{render._fmt(x)},{render._fmt(y)}" for x, y in pts)
+        polygons.append(f'  <polygon points="{point_attr}"/>')
+        cx = sum(x for x, _ in pts) / 3.0
+        cy = sum(y for _, y in pts) / 3.0
+        texts.append(f'  <text x="{render._fmt(cx)}" y="{render._fmt(cy)}">{value}</text>')
+
+    fold_edges = set()
+    for first, second in zip(corner_sets, corner_sets[1:]):
+        shared = tuple(sorted(set(first) & set(second)))
+        fold_edges.add(shared)
+    solid_edges = set()
+    for corners in corner_sets:
+        for i in range(3):
+            edge = tuple(sorted((corners[i], corners[(i + 1) % 3])))
+            if edge not in fold_edges:
+                solid_edges.add(edge)
+
+    def edge_lines(edges: set, cls: str) -> list[str]:
+        lines = []
+        for (c1, c2) in sorted(edges):
+            (x1, y1), (x2, y2) = project(c1), project(c2)
+            lines.append(
+                f'  <line class="{cls}" x1="{render._fmt(x1)}" y1="{render._fmt(y1)}"'
+                f' x2="{render._fmt(x2)}" y2="{render._fmt(y2)}"/>'
+            )
+        return lines
+
+    font = render._fmt(scale * 0.4)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}"'
+        f' height="{height}" viewBox="0 0 {width} {height}">',
+        "  <style>",
+        "    polygon { fill: white; stroke: none; }",
+        "    line.solid { stroke: black; stroke-width: 1; }",
+        "    line.fold { stroke: black; stroke-width: 1; stroke-dasharray: 4 3; }",
+        f"    text {{ font-family: sans-serif; font-size: {font}px;"
+        " text-anchor: middle; dominant-baseline: central; fill: black; }",
+        "  </style>",
+    ]
+    parts.extend(polygons)
+    parts.extend(edge_lines(solid_edges, "solid"))
+    parts.extend(edge_lines(fold_edges, "fold"))
+    parts.extend(texts)
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 class SuiteFailure(Exception):

@@ -43,7 +43,7 @@ def test_table_range_errors(capsys):
     assert run(["table", "--min", "2", "--max", "8"]) == 2
     capsys.readouterr()
     assert run(["table", "--max", "27", "--printable"]) == 2
-    assert "limit" in capsys.readouterr().err
+    assert "exceeds the counting limit 26" in capsys.readouterr().err
 
 
 def test_table_ignores_thread_env(capsys, monkeypatch):
@@ -156,6 +156,14 @@ def test_net_parse_errors(capsys):
     capsys.readouterr()
     assert run(["net", "--signs", "1,2,1"]) == 2
     capsys.readouterr()
+
+
+def test_net_rejects_non_finite_scale(capsys):
+    for scale in (["--scale", "nan"], ["--scale", "inf"], ["--scale=-inf"]):
+        assert run(["net", "--signs", "+++", *scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale must be finite" in captured.err
 
 
 def test_net_index_out_of_range(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from hexaflex.geometry import lay_strip
 from hexaflex.labeling import StripLabels, build_pattern, strip_labels
 from hexaflex.render import render_strip, render_table
-from hexaflex.sequences import reduction_history
+from hexaflex.sequences import enumerate_classes, extend, reduction_history
+from hexaflex.verify import naive_render_strip
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +107,43 @@ def test_render_strip_errors():
         render_strip(strip, labels, scale=0.0)
     with pytest.raises(ValueError):
         render_strip(strip, labels, scale=-4.0)
+
+
+def test_render_strip_rejects_non_finite_scale():
+    strip, labels = _parts((1, 1, 1))
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            render_strip(strip, labels, scale=scale)
+
+
+def _assert_matches_oracle(signs):
+    # the net as `net` draws it: strip and labels from the replayed history
+    pattern = build_pattern(reduction_history(signs))
+    for glue in (True, False):
+        strip = lay_strip(pattern.signs, glue=glue)
+        labels = strip_labels(pattern, glue=glue)
+        for side in ("front", "back"):
+            for scale in (40.0, 17.3):
+                fast = render_strip(strip, labels, side=side, scale=scale)
+                slow = naive_render_strip(strip, labels, side=side, scale=scale)
+                assert fast == slow, (signs, glue, side, scale)
+
+
+def test_render_matches_oracle_every_class():
+    # 109 classes, 48 of them non-printable: overlapping cells, repeated edges
+    for n in range(3, 13):
+        for record in enumerate_classes(n):
+            _assert_matches_oracle(record.signs)
+
+
+def test_render_matches_oracle_on_grown_sequences():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(13, 48)
+        signs = (1, 1, 1)
+        while len(signs) < n:
+            signs = extend(signs, rng.randint(1, len(signs)))
+        _assert_matches_oracle(signs)
 
 
 def test_render_table_plain():
