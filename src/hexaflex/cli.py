@@ -60,8 +60,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"need 3 <= min <= max, got min={args.min} max={args.max}")
     ns = range(args.min, args.max + 1)
     if args.printable:
-        if args.max > args.limit:
-            raise ValueError(f"max={args.max} exceeds the counting limit {args.limit}")
+        sequences.check_size(args.max, args.limit, "counting", geometry.MAX_N)
         rows = [
             (n, counting.hexaflexagon_count(n), geometry.printable_class_count(n, limit=args.limit))
             for n in ns
@@ -93,12 +92,13 @@ def cmd_net(args: argparse.Namespace) -> int:
     if args.signs is not None:
         signs = _parse_signs(args.signs)
     else:
-        records = sequences.enumerate_classes(args.n, limit=args.limit)
-        if not 0 <= args.index < len(records):
+        sequences.check_size(args.n, args.limit, "enumeration")
+        masks = sequences.canonical_masks(args.n)
+        if not 0 <= args.index < len(masks):
             raise ValueError(
-                f"--index {args.index} out of range: n={args.n} has {len(records)} classes"
+                f"--index {args.index} out of range: n={args.n} has {len(masks)} classes"
             )
-        signs = records[args.index].signs
+        signs = sequences.signs_from_mask(int(masks[args.index]), args.n)
     if not sequences.is_valid(signs):
         sys.stderr.write(f"invalid sign sequence: {_explain_invalid(signs)}\n")
         return INVALID_SIGNS

@@ -190,12 +190,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
 
 def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int:
     """Number of printable equivalence classes at length n."""
-    if n < 3:
-        raise ValueError(f"printable_class_count needs n >= 3, got {n}")
-    if limit > MAX_N:
-        raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the counting limit {limit}")
+    sequences.check_size(n, limit, "counting", MAX_N)
     masks = sequences.canonical_masks(n)
     expected = hexaflexagon_count(n)
     if len(masks) != expected:

@@ -16,10 +16,13 @@ from typing import Optional, Sequence
 from .geometry import LatticeCell, TriangleStrip
 from .labeling import StripLabels
 
-__all__ = ["render_strip", "render_table"]
+__all__ = ["MAX_DOCUMENT_SIZE", "render_strip", "render_table"]
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 _MARGIN = 0.25  # lattice units around the strip
+# Largest document width or height in pixels; a double there still resolves
+# far finer than the 0.001 that coordinates are printed to.
+MAX_DOCUMENT_SIZE = 1e9
 
 
 def _fmt(v: float) -> str:
@@ -70,6 +73,12 @@ def _svg_lines(
     ys = [b * _SQRT3_2 for a, b in points]
     xmin, xmax = min(xs) - _MARGIN, max(xs) + _MARGIN
     ymin, ymax = min(ys) - _MARGIN, max(ys) + _MARGIN
+    w, h = (xmax - xmin) * scale, (ymax - ymin) * scale
+    if not (w <= MAX_DOCUMENT_SIZE and h <= MAX_DOCUMENT_SIZE):
+        raise ValueError(
+            f"scale {scale} gives a {w:g} by {h:g} pixel document; "
+            f"width and height must not exceed {MAX_DOCUMENT_SIZE:g}"
+        )
 
     def project(c: tuple[int, int]) -> tuple[float, float]:
         a, b = c
@@ -84,8 +93,7 @@ def _svg_lines(
         x, y = project(c)
         fx.append(_fmt(x))
         fy.append(_fmt(y))
-    width = _fmt((xmax - xmin) * scale)
-    height = _fmt((ymax - ymin) * scale)
+    width, height = _fmt(w), _fmt(h)
     font = _fmt(scale * 0.4)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -24,6 +24,7 @@ __all__ = [
     "reverse",
     "invert",
     "canonicalize",
+    "check_size",
     "extend",
     "reduce",
     "is_valid",
@@ -193,6 +194,7 @@ class ClassRecord:
 # canonical forms of every one-position extension of level n - 1.
 
 MAX_N = 64  # the mask width
+_GROW_BYTES = 1 << 21  # per uint64 (n - 1, block) candidate array in _grow
 
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint64)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
@@ -230,8 +232,8 @@ def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _grow(parent: np.ndarray, n: int) -> np.ndarray:
-    """Level n from level n - 1: extend everywhere, canonicalize, deduplicate."""
+def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
+    """Ascending distinct canonical forms of every one-position extension of parent."""
     mask = np.uint64((1 << n) - 1)
     candidates = np.empty((n - 1, len(parent)), dtype=np.uint64)
     for b in range(n - 1):  # extend the entry at bit b of the parent
@@ -247,7 +249,26 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     zero = twice_ones == n
     best = _orbit_max(x, n)
     best[zero] = np.maximum(best[zero], _orbit_max(x[zero] ^ mask, n))
-    out = _sorted_unique(best)[::-1].copy()
+    return _sorted_unique(best)
+
+
+def _grow(parent: np.ndarray, n: int) -> np.ndarray:
+    """Level n from level n - 1, canonicalized one block of parents at a time.
+
+    Each block's sorted canonical set waits until the waiting sets together
+    outgrow the merged set, and all are then merged into it, so a merge
+    sorts at most twice the level plus one block's set.  A level of one
+    block is never sorted again.
+    """
+    block = max(1, _GROW_BYTES // (8 * (n - 1)))
+    merged = _canonical_extensions(parent[:block], n)
+    pending: list[np.ndarray] = []
+    for start in range(block, len(parent), block):
+        pending.append(_canonical_extensions(parent[start : start + block], n))
+        if start + block >= len(parent) or sum(map(len, pending)) > len(merged):
+            merged = _sorted_unique(np.concatenate([merged, *pending]))
+            pending = []
+    out = merged[::-1].copy()
     out.flags.writeable = False
     return out
 
@@ -255,8 +276,9 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
 def canonical_masks(n: int) -> np.ndarray:
     """Canonical bitmasks of every class at length n, descending (= canonical order).
 
-    Levels are grown once and kept.  Threads that grow the same level at
-    once only repeat work: the first stored array wins.
+    Levels are grown once and kept.  Each level is grown from the one below
+    in bounded blocks of parents (see _grow), so the candidate arrays do not
+    grow with the level.
     """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"class masks need 3 <= n <= {MAX_N}, got {n}")
@@ -272,6 +294,16 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
     return tuple(1 if (m >> (n - i)) & 1 else -1 for i in range(1, n + 1))
 
 
+def check_size(n: int, limit: int, what: str, ceiling: int = MAX_N) -> None:
+    """The one size guard of enumeration and counting: 3 <= n <= limit <= ceiling."""
+    if n < 3:
+        raise ValueError(f"{what} needs n >= 3, got {n}")
+    if limit > ceiling:
+        raise ValueError(f"limit {limit} exceeds the largest supported n {ceiling}")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the {what} limit {limit}")
+
+
 def enumerate_classes(
     n: int,
     *,
@@ -284,12 +316,7 @@ def enumerate_classes(
     The classes come from the extension ladder (see canonical_masks); their
     number equals counting.hexaflexagon_count(n).
     """
-    if n < 3:
-        raise ValueError(f"enumeration needs n >= 3, got {n}")
-    if limit > MAX_N:
-        raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration limit {limit}")
+    check_size(n, limit, "enumeration")
     masks = canonical_masks(n)
     flags = None
     if printability:

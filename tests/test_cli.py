@@ -11,6 +11,7 @@ import pytest
 from hexaflex import cli, geometry
 from hexaflex.cli import run
 from hexaflex.counting import hexaflexagon_count
+from hexaflex.sequences import enumerate_classes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +128,16 @@ def test_net_by_index(capsys):
     assert capsys.readouterr().out == (GOLDEN / "trihexaflexagon_front.svg").read_text()
 
 
+@pytest.mark.parametrize("n, index", [(6, 2), (11, 9), (16, 300), (20, 4642)])
+def test_net_by_index_matches_net_by_signs(capsys, n, index):
+    # --index picks the class's canonical signs, as the ClassRecord list orders them
+    signs = "".join("+" if a > 0 else "-" for a in enumerate_classes(n)[index].signs)
+    assert run(["net", f"--signs={signs}", "--side", "back"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["net", "--n", str(n), "--index", str(index), "--side", "back"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_net_writes_file(tmp_path, capsys):
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"
@@ -166,9 +177,22 @@ def test_net_rejects_non_finite_scale(capsys):
         assert "scale must be finite" in captured.err
 
 
+def test_net_rejects_oversized_scale(capsys):
+    for scale in ("1e308", "1e300", "2e8"):
+        assert run(["net", "--signs", "+++", "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not exceed" in captured.err
+    assert run(["net", "--signs", "+++", "--scale", "1e8"]) == 0
+    assert 'width="600000000"' in capsys.readouterr().out
+
+
 def test_net_index_out_of_range(capsys):
     assert run(["net", "--n", "3", "--index", "5"]) == 2
     assert "out of range" in capsys.readouterr().err
+    for index in ("3", "-1"):
+        assert run(["net", "--n", "6", "--index", index]) == 2
+        assert f"--index {index} out of range: n=6 has 3 classes" in capsys.readouterr().err
 
 
 def test_net_limit(capsys):

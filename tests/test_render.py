@@ -7,7 +7,7 @@ import pytest
 
 from hexaflex.geometry import lay_strip
 from hexaflex.labeling import StripLabels, build_pattern, strip_labels
-from hexaflex.render import render_strip, render_table
+from hexaflex.render import MAX_DOCUMENT_SIZE, render_strip, render_table
 from hexaflex.sequences import enumerate_classes, extend, reduction_history
 from hexaflex.verify import naive_render_strip
 
@@ -113,6 +113,18 @@ def test_render_strip_rejects_non_finite_scale():
     strip, labels = _parts((1, 1, 1))
     for scale in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="scale must be finite"):
+            render_strip(strip, labels, scale=scale)
+
+
+def test_render_strip_rejects_oversized_documents():
+    strip, labels = _parts((1, 1, 1))
+    root = ET.fromstring(render_strip(strip, labels, scale=1.0))
+    largest = max(float(root.get("width")), float(root.get("height")))
+    # a document just under the cap renders; one just over it does not
+    fits = render_strip(strip, labels, scale=MAX_DOCUMENT_SIZE / largest * (1 - 1e-12))
+    assert max(float(ET.fromstring(fits).get(k)) for k in ("width", "height")) <= MAX_DOCUMENT_SIZE
+    for scale in (MAX_DOCUMENT_SIZE / largest * (1 + 1e-9), 1e300, 1e308):
+        with pytest.raises(ValueError, match="must not exceed 1e\\+09"):
             render_strip(strip, labels, scale=scale)
 
 

@@ -207,7 +207,8 @@ def test_ladder_matches_naive_scan_in_order():
 
 
 def test_ladder_cardinality():
-    for n in range(3, 23):
+    # levels from 23 on are grown in more than one parent block
+    for n in range(3, 25):
         assert len(canonical_masks(n)) == hexaflexagon_count(n)
 
 
@@ -248,6 +249,17 @@ def test_ladder_grown_from_threads(monkeypatch):
     for result in results:
         for n, masks in result.items():
             assert np.array_equal(masks, expected[n])
+
+
+def test_ladder_grown_one_parent_per_block(monkeypatch):
+    expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
+    monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
+    monkeypatch.setattr(sequences, "_GROW_BYTES", 1)
+    for n in range(3, 13):
+        assert [signs_from_mask(m, n) for m in canonical_masks(n).tolist()] == naive_classes(n)
+    for n in range(3, 19):
+        assert np.array_equal(canonical_masks(n), expected[n])
+        assert not canonical_masks(n).flags.writeable
 
 
 def test_canonical_masks_range():
