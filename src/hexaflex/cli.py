@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from typing import Iterable, Iterator, Optional
 
-from . import counting, geometry, labeling, render, sequences, verify
+from . import counting, geometry, labeling, render, sequences
 
 __all__ = ["main"]
 
@@ -51,7 +51,7 @@ def _explain_invalid(signs: tuple[int, ...]) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    print(counting.hexaflexagon_count(args.n))
+    print(render.digits(counting.hexaflexagon_count(args.n)))
     return 0
 
 
@@ -72,20 +72,25 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    records = sequences.enumerate_classes(
-        args.n, printability=True, labels=args.with_labels, limit=args.limit
-    )
-    for record in records:
-        payload = {
-            "n": record.n,
-            "signs": "".join("+" if a > 0 else "-" for a in record.signs),
-            "sum": record.sum,
-            "printable": record.printable,
-        }
-        if args.with_labels:
-            payload["labels"] = list(record.labels)
-        print(json.dumps(payload))
+    n = args.n
+    sequences.check_size(n, args.limit, "enumeration")
+    masks = sequences.canonical_masks(n)
+    flags = geometry.bulk_printable(masks, n).tolist()
+    rows = sequences.class_rows(masks, n, labels=args.with_labels)
+    sys.stdout.writelines(_jsonl(n, rows, flags))
     return 0
+
+
+def _jsonl(
+    n: int, rows: Iterable[tuple[str, int, Optional[list[int]]]], flags: list[bool]
+) -> Iterator[str]:
+    """One JSON object per class, as json.dumps writes it, keys in record order."""
+    for (signs, total, labels), flag in zip(rows, flags):
+        tail = "" if labels is None else f', "labels": {labels}'  # a list of ints prints as JSON
+        yield (
+            f'{{"n": {n}, "signs": "{signs}", "sum": {total}, '
+            f'"printable": {"true" if flag else "false"}{tail}}}\n'
+        )
 
 
 def cmd_net(args: argparse.Namespace) -> int:
@@ -115,6 +120,8 @@ def cmd_net(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     ok = verify.run_suites(args.max_n, paper_bracelet=args.paper_bracelet, report=print)
     return 0 if ok else 1
 

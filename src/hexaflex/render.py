@@ -11,12 +11,13 @@ mirrored horizontally so duplex printing aligns triangle for triangle.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import Optional, Sequence
 
 from .geometry import LatticeCell, TriangleStrip
 from .labeling import StripLabels
 
-__all__ = ["MAX_DOCUMENT_SIZE", "render_strip", "render_table"]
+__all__ = ["MAX_DOCUMENT_SIZE", "digits", "render_strip", "render_table"]
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 _MARGIN = 0.25  # lattice units around the strip
@@ -137,6 +138,15 @@ def _svg_lines(
     return parts
 
 
+def digits(v: int) -> str:
+    """The exact decimal text of an int of any size.
+
+    str(int) refuses ints past sys.get_int_max_str_digits() digits (4300 by
+    default); Decimal converts exactly and has no such limit.
+    """
+    return str(Decimal(v))
+
+
 def render_table(rows: Sequence[tuple[int, int, Optional[int]]]) -> str:
     """CSV table of counts, one row per n, LF line endings.
 
@@ -149,7 +159,7 @@ def render_table(rows: Sequence[tuple[int, int, Optional[int]]]) -> str:
     lines = ["n,H,Hp" if with_hp else "n,H"]
     for n, h, hp in rows:
         if with_hp:
-            lines.append(f"{n},{h},{'' if hp is None else hp}")
+            lines.append(f"{n},{digits(h)},{'' if hp is None else digits(hp)}")
         else:
-            lines.append(f"{n},{h}")
+            lines.append(f"{n},{digits(h)}")
     return "\n".join(lines) + "\n"

@@ -4,14 +4,16 @@ A sequence (a_1, ..., a_n) with entries +1/-1 describes one strip shape;
 two sequences describe the same hexaflexagon when they differ by cyclic
 shift, reversal, or global sign inversion.  This module provides the orbit
 operations, a canonical form, the extend/reduce moves that grow and shrink
-sequences, validity (reachability from the length-3 base), and enumeration
-of every equivalence class, grown level by level by extension.
+sequences, validity (reachability from the length-3 base), enumeration
+of every equivalence class, grown level by level by extension, and the
+extension histories and face labels of a whole level at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "invert",
     "canonicalize",
     "check_size",
+    "class_rows",
     "extend",
     "reduce",
     "is_valid",
@@ -194,7 +197,7 @@ class ClassRecord:
 # canonical forms of every one-position extension of level n - 1.
 
 MAX_N = 64  # the mask width
-_GROW_BYTES = 1 << 21  # per uint64 (n - 1, block) candidate array in _grow
+_GROW_BYTES = 1 << 21  # per uint64 (n - 1, rows) array in _grow and class_rows
 
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint64)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
@@ -294,6 +297,133 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
     return tuple(1 if (m >> (n - i)) & 1 else -1 for i in range(1, n + 1))
 
 
+# ---------------------------------------------------------------------------
+# Histories and labels of a whole level.  _histories follows the rule of
+# reduction_history and _labels that of build_pattern, on the ladder's masks:
+# position p of a length-L mask sits at bit L - p, so the leftmost valid
+# position is the highest valid bit.
+
+_SIGN_BYTES = np.frombuffer(b"-+", dtype=np.uint8)
+
+
+def _rotl(x: np.ndarray, length: int, r: int = 1) -> np.ndarray:
+    """Length-L masks rotated left by 0 < r < L."""
+    full = np.uint64((1 << length) - 1)
+    return ((x << np.uint64(r)) | (x >> np.uint64(length - r))) & full
+
+
+def _contract(x: np.ndarray, length: int) -> np.ndarray:
+    """Each length-L mask contracted at its leftmost equal pair whose result is valid."""
+    one = np.uint64(1)
+    full = np.uint64((1 << length) - 1)
+    # bit j: positions L - j and L - j + 1 (cyclically) hold equal signs
+    equal = ~(x ^ _rotl(x, length)) & full
+    # contracting a pair (a, a) moves the sum 2k - L of a mask with k ones by -3a
+    sums = sum_set(length - 1)
+    plus, minus = (
+        np.array(
+            [full if 2 * k - length - 3 * a in sums else 0 for k in range(length + 1)],
+            dtype=np.uint64,
+        )
+        for a in (1, -1)
+    )
+    ones = np.bitwise_count(x)
+    valid = equal & ((x & plus[ones]) | (~x & minus[ones]))
+    # the shorter sequence has an equal pair unless the equal pairs are
+    # exactly three consecutive ones and the middle one is contracted
+    middle = equal & _rotl(equal, length) & _rotl(equal, length, length - 1)
+    valid &= ~np.where(np.bitwise_count(equal) == 3, middle, np.uint64(0))
+    if not valid.all():
+        raise ValueError(f"no valid contraction of a length-{length} mask")
+    top = valid.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        top |= top >> np.uint64(shift)
+    j = np.bitwise_count(top).astype(np.uint64) - one  # the highest valid bit
+    merged = ((x >> j) & one) ^ one  # the pair (a, a) becomes one -a
+    # a pair at bits (j, j - 1) merges in place; the wrapped pair at bits
+    # (0, L - 1) merges into the first position
+    k = np.maximum(j, one)
+    inner = (x >> (k + one)) << k | merged << (k - one) | x & ((one << (k - one)) - one)
+    wrapped = merged << np.uint64(length - 2) | (x >> one) & np.uint64((1 << (length - 2)) - 1)
+    return np.where(j == 0, wrapped, inner)
+
+
+def _histories(masks: np.ndarray, n: int) -> np.ndarray:
+    """reduction_history of each length-n mask, as an int8 (rows, n - 3) array.
+
+    Every row is contracted down to length 3 together; the replay then
+    compares all L extensions of each row with the L + 1 rotations of its
+    next chain entry and takes the first match.
+    """
+    largest = min(MAX_N, np.iinfo(np.int8).max)  # int8 holds every step and label, each <= n
+    if not 3 <= n <= largest:
+        raise ValueError(f"batch histories need 3 <= n <= {largest}, got {n}")
+    one = np.uint64(1)
+    chain = [np.asarray(masks, dtype=np.uint64)]
+    for length in range(n, 3, -1):
+        chain.append(_contract(chain[-1], length))
+    cur = chain.pop()
+    columns = np.arange(len(cur))
+    steps = np.empty((len(cur), n - 3), dtype=np.int8)
+    for length in range(3, n):
+        target = chain.pop()
+        grown = np.empty((length, len(cur)), dtype=np.uint64)
+        for i, b in enumerate(np.arange(length - 1, -1, -1, dtype=np.uint64)):
+            # extend position i + 1, at bit b: its entry a becomes the pair (-a, -a)
+            high = (cur >> (b + one)) << (b + np.uint64(2))
+            pair = ((~cur >> b) & one) * np.uint64(3) << b
+            grown[i] = high | pair | cur & ((one << b) - one)
+        match = grown == target
+        for r in range(1, length + 1):
+            match |= grown == _rotl(target, length + 1, r)
+        first = match.argmax(axis=0)
+        if not match[first, columns].all():
+            raise ValueError(f"no extension matches its chain entry at length {length + 1}")
+        steps[:, length - 3] = first + 1
+        cur = grown[first, columns]
+    return steps
+
+
+def _labels(steps: np.ndarray, n: int) -> np.ndarray:
+    """build_pattern(history).labels of each row of steps, as an int8 (rows, n) array.
+
+    Tracks the index of each label: a step at position i puts label m + 1 at
+    index i - 1 and moves every label at or after that index one to the right.
+    """
+    at = np.empty((len(steps), n), dtype=np.int8)  # at[:, k]: the index of label k + 1
+    at[:, :3] = (0, 1, 2)
+    for m in range(3, n):
+        index = steps[:, m - 3] - 1
+        placed = at[:, :m]
+        placed += placed >= index[:, None]
+        at[:, m] = index
+    labels = np.empty_like(at)
+    labels[np.arange(len(steps))[:, None], at] = np.arange(1, n + 1, dtype=np.int8)
+    return labels
+
+
+def class_rows(
+    masks: np.ndarray, n: int, *, labels: bool = False
+) -> Iterator[tuple[str, int, Optional[list[int]]]]:
+    """(signs as '+'/'-' text, sum, face labels or None) of each length-n mask.
+
+    The labels are build_pattern(reduction_history(signs)).labels, computed
+    for a block of rows at a time so the (L, rows) extension arrays stay
+    within the ladder's byte budget.
+    """
+    block = max(1, _GROW_BYTES // (8 * n))
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    for start in range(0, len(masks), block):
+        chunk = masks[start : start + block]
+        text = _SIGN_BYTES[(chunk[:, None] >> shifts) & np.uint64(1)].view(f"S{n}")
+        signs = text.ravel().astype(f"U{n}").tolist()
+        sums = (2 * np.bitwise_count(chunk).astype(np.int64) - n).tolist()
+        rows = repeat(None)
+        if labels:  # listed row by row, so a block's label lists are never all alive at once
+            rows = map(np.ndarray.tolist, _labels(_histories(chunk, n), n))
+        yield from zip(signs, sums, rows)
+
+
 def check_size(n: int, limit: int, what: str, ceiling: int = MAX_N) -> None:
     """The one size guard of enumeration and counting: 3 <= n <= limit <= ceiling."""
     if n < 3:
@@ -318,28 +448,18 @@ def enumerate_classes(
     """
     check_size(n, limit, "enumeration")
     masks = canonical_masks(n)
-    flags = None
+    flags = repeat(None)
     if printability:
         from . import geometry
 
-        flags = geometry.bulk_printable(masks, n)
-    records = []
-    for idx, m in enumerate(masks.tolist()):
-        signs = signs_from_mask(m, n)
-        records.append(
-            ClassRecord(
-                n=n,
-                signs=signs,
-                sum=sum(signs),
-                printable=bool(flags[idx]) if flags is not None else None,
-                labels=_labels_for(signs) if labels else None,
-            )
+        flags = geometry.bulk_printable(masks, n).tolist()
+    return [
+        ClassRecord(
+            n=n,
+            signs=tuple(1 if c == "+" else -1 for c in text),
+            sum=total,
+            printable=flag,
+            labels=None if row is None else tuple(row),
         )
-    return records
-
-
-def _labels_for(signs: SignSequence) -> tuple[int, ...]:
-    from . import labeling
-
-    pattern = labeling.build_pattern(reduction_history(signs))
-    return tuple(label for label, _ in pattern.nodes)
+        for (text, total, row), flag in zip(class_rows(masks, n, labels=labels), flags)
+    ]

@@ -394,14 +394,22 @@ def _suite_labeling(max_n: int) -> None:
     _check(tri.top == (1, 1, 3, 3, 2, 2, 1, 1, 3), f"labeling: trihexa top row {tri.top}")
     _check(tri.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2), f"labeling: trihexa bottom row {tri.bottom}")
     for n in range(3, min(max_n, 12) + 1):
-        for record in sequences.enumerate_classes(n):
+        masks = sequences.canonical_masks(n)
+        steps = sequences._histories(masks, n)
+        batch = zip(steps.tolist(), sequences._labels(steps, n).tolist())
+        for record, (batch_history, batch_labels) in zip(sequences.enumerate_classes(n), batch):
             history = sequences.reduction_history(record.signs)
             naive = naive_reduction_history(record.signs)
             _check(
-                history == naive,
-                f"labeling: history {history} != naive {naive} for {record.signs}",
+                history == naive == batch_history,
+                f"labeling: history {history}, batch {batch_history} != naive {naive}"
+                f" for {record.signs}",
             )
             pattern = labeling.build_pattern(history)
+            _check(
+                list(pattern.labels) == batch_labels,
+                f"labeling: batch labels {batch_labels} != {pattern.labels} for {record.signs}",
+            )
             for glue in (False, True):
                 fast = labeling.strip_labels(pattern, glue)
                 slow = blockwise_strip_labels(pattern, glue)
@@ -429,6 +437,8 @@ def run_suites(
     report: Optional[Callable[[str], None]] = None,
 ) -> bool:
     """Run every suite up to max_n; report one line per suite; True iff all pass."""
+    if max_n < 3:
+        raise ValueError(f"verify needs --max-n >= 3, got {max_n}")
     emit = report or (lambda line: None)
     all_ok = True
     for name, runner in _SUITES:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -8,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from hexaflex import cli, geometry
+from hexaflex import cli, counting, geometry, labeling, sequences
 from hexaflex.cli import run
 from hexaflex.counting import hexaflexagon_count
 from hexaflex.sequences import enumerate_classes
 
+ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -21,6 +23,15 @@ def test_count(capsys):
     assert capsys.readouterr().out == "3\n"
     assert run(["count", "--n", "12"]) == 0
     assert capsys.readouterr().out == "47\n"
+
+
+def test_count_past_the_int_digit_limit(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    big = (10**5000 - 1) // 9  # 5000 ones
+    monkeypatch.setattr(counting, "hexaflexagon_count", lambda n: big)
+    assert run(["count", "--n", "14500"]) == 0
+    assert capsys.readouterr().out == "1" * 5000 + "\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_count_domain_error(capsys):
@@ -93,6 +104,48 @@ def test_enumerate_with_labels(capsys):
     assert len(records) == 3
     for record in records:
         assert sorted(record["labels"]) == list(range(1, 7))
+
+
+def _json_dumps_lines(n: int, with_labels: bool) -> str:
+    """enumerate's output as one ClassRecord and one json.dumps per class: the oracle."""
+    masks = sequences.canonical_masks(n)
+    lines = []
+    for m, flag in zip(masks.tolist(), geometry.bulk_printable(masks, n).tolist()):
+        signs = sequences.signs_from_mask(m, n)
+        labels = None
+        if with_labels:
+            labels = labeling.build_pattern(sequences.reduction_history(signs)).labels
+        record = sequences.ClassRecord(n, signs, sum(signs), flag, labels)
+        payload = {
+            "n": record.n,
+            "signs": "".join("+" if a > 0 else "-" for a in record.signs),
+            "sum": record.sum,
+            "printable": record.printable,
+        }
+        if with_labels:
+            payload["labels"] = list(record.labels)
+        lines.append(json.dumps(payload) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_enumerate_matches_json_dumps(capsys, with_labels):
+    for n in range(3, 17):
+        assert run(["enumerate", "--n", str(n)] + ["--with-labels"] * with_labels) == 0
+        assert capsys.readouterr().out == _json_dumps_lines(n, with_labels)
+
+
+def test_enumerate_n21_matches_recorded_digest():
+    expected = json.loads((ROOT / "benchmarks" / "expected.json").read_text())["enumerate_labels"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexaflex", "enumerate", "--n", "21", "--with-labels"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.count(b"\n") == expected["lines"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
 
 
 def test_enumerate_first_class(capsys):
@@ -205,6 +258,14 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("max_n", ["2", "-1"])
+def test_verify_rejects_max_n_below_3(capsys, max_n):
+    assert run(["verify", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verify needs --max-n >= 3, got {max_n}" in captured.err
 
 
 def test_verify_paper_bracelet_fails(capsys):

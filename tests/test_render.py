@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -171,6 +172,14 @@ def test_render_table_with_printable():
 def test_render_table_mixed_rows():
     out = render_table([(3, 1, 1), (4, 1, None)])
     assert out == "n,H,Hp\n3,1,1\n4,1,\n"
+
+
+def test_render_table_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = (10**5000 - 1) // 9  # 5000 ones
+    assert render_table([(14400, big, big)]) == f"n,H,Hp\n14400,{'1' * 5000},{'1' * 5000}\n"
+    assert render_table([(14400, big, None)]) == f"n,H\n14400,{'1' * 5000}\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_render_table_empty():

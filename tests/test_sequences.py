@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hexaflex import sequences
 from hexaflex.counting import hexaflexagon_count, sum_set
+from hexaflex.labeling import build_pattern
 from hexaflex.sequences import (
     canonical_masks,
     canonicalize,
@@ -172,6 +173,91 @@ def test_reduction_history_matches_naive_on_orbit_members():
             if rng.random() < 0.5:
                 signs = invert(signs)
             assert reduction_history(signs) == naive_reduction_history(signs)
+
+
+def _assert_batch_matches_scalar(masks, n):
+    steps = sequences._histories(masks, n)
+    labels = sequences._labels(steps, n)
+    assert steps.dtype == labels.dtype == np.int8
+    assert steps.shape == (len(masks), n - 3) and labels.shape == (len(masks), n)
+    for m, batch_steps, batch_labels in zip(masks.tolist(), steps.tolist(), labels.tolist()):
+        history = reduction_history(signs_from_mask(m, n))
+        assert batch_steps == history
+        assert tuple(batch_labels) == build_pattern(history).labels
+
+
+def test_batch_histories_and_labels_match_scalar_every_class():
+    for n in range(3, 19):
+        _assert_batch_matches_scalar(canonical_masks(n), n)
+
+
+def test_batch_histories_and_labels_match_scalar_seeded_rows():
+    rng = np.random.default_rng(11)
+    for n in range(19, 25):
+        masks = canonical_masks(n)
+        _assert_batch_matches_scalar(masks[np.sort(rng.choice(len(masks), 150, replace=False))], n)
+
+
+def test_batch_histories_on_orbit_members_up_to_full_width():
+    # any valid mask, not only canonical ones, and the 64-bit shifts at n = 64
+    rng = random.Random(5)
+    for n in (25, 40, 63, 64):
+        rows = []
+        for _ in range(20):
+            signs = (1, 1, 1)
+            while len(signs) < n:
+                signs = extend(signs, rng.randint(1, len(signs)))
+            signs = cyclic_shift(signs, rng.randrange(n))
+            rows.append(invert(signs) if rng.random() < 0.5 else signs)
+        masks = np.array(
+            [int("".join("1" if a > 0 else "0" for a in t), 2) for t in rows], dtype=np.uint64
+        )
+        assert sequences._histories(masks, n).tolist() == [naive_reduction_history(t) for t in rows]
+
+
+def test_contract_takes_leftmost_valid_pair():
+    # every mask of length 4..10, valid or not, and masks up to 64 bits whose few
+    # equal pairs lie far apart, against the rule of reduction_history
+    rng = random.Random(8)
+    cases = {n: [signs_from_mask(m, n) for m in range(1 << n)] for n in range(4, 11)}
+    for length in (40, 57, 64):
+        cases[length] = []
+        for _ in range(100):
+            signs = [1 if i % 2 else -1 for i in range(length)]
+            for i in rng.sample(range(length), 3):
+                signs[i] = -signs[i]
+            cases[length].append(tuple(signs))
+    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
+    for length, rows in cases.items():
+        contracted = {}
+        for signs in rows:
+            for p in range(1, length + 1):
+                if signs[p - 1] == signs[p % length] and is_valid(reduce(signs, p)):
+                    contracted[to_mask(signs)] = to_mask(reduce(signs, p))
+                    break
+        masks = np.array(list(contracted), dtype=np.uint64)
+        assert sequences._contract(masks, length).tolist() == list(contracted.values())
+
+
+def test_batch_histories_reject_invalid_masks_and_sizes():
+    with pytest.raises(ValueError):
+        sequences._histories(np.array([0b1010], dtype=np.uint64), 4)  # alternating
+    with pytest.raises(ValueError):
+        sequences._histories(np.array([0b1111], dtype=np.uint64), 4)  # sum 4 not in sum_set(4)
+    for n in (2, sequences.MAX_N + 1):
+        with pytest.raises(ValueError):
+            sequences._histories(np.array([0], dtype=np.uint64), n)
+
+
+def test_class_rows_one_row_per_block(monkeypatch):
+    def levels():
+        return [
+            list(sequences.class_rows(canonical_masks(n), n, labels=True)) for n in range(3, 13)
+        ]
+
+    expected = levels()
+    monkeypatch.setattr(sequences, "_GROW_BYTES", 1)
+    assert levels() == expected
 
 
 @given(valid_sequences())
