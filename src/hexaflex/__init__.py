@@ -14,7 +14,6 @@ from .counting import (
 from .geometry import (
     LatticeCell,
     TriangleStrip,
-    expand_signs,
     is_printable,
     lay_strip,
     printable_class_count,
@@ -48,7 +47,6 @@ __all__ = [
     "canonicalize",
     "cyclic_shift",
     "enumerate_classes",
-    "expand_signs",
     "extend",
     "hexaflexagon_count",
     "invert",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Iterable, Iterator, Optional
 
@@ -60,7 +61,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"need 3 <= min <= max, got min={args.min} max={args.max}")
     ns = range(args.min, args.max + 1)
     if args.printable:
-        sequences.check_size(args.max, args.limit, "counting", geometry.MAX_N)
+        sequences.check_size(args.max, args.limit, "counting")
         rows = [
             (n, counting.hexaflexagon_count(n), geometry.printable_class_count(n, limit=args.limit))
             for n in ns
@@ -114,8 +115,11 @@ def cmd_net(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(document)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(document)
+        except OSError as error:
+            raise ValueError(f"cannot write {args.out}: {error.strerror}") from None
     return 0
 
 
@@ -213,7 +217,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # as the signal module's docs advise: the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

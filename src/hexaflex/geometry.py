@@ -30,7 +30,6 @@ __all__ = [
     "LatticeCell",
     "TriangleStrip",
     "DEFAULT_COUNTING_LIMIT",
-    "expand_signs",
     "lay_strip",
     "is_printable",
     "printable_class_count",
@@ -45,8 +44,6 @@ _COORD_BITS, _INDEX_BITS = 11, 8
 _ORIGIN = 1 << (_COORD_BITS - 1)
 # a field holds -_ORIGIN.._ORIGIN - 1, so 1 + (6n - 3) < _ORIGIN; and j <= 4n - 2 < 2**_INDEX_BITS
 _PACKING_MAX_N = min((_ORIGIN + 1) // 6, ((1 << _INDEX_BITS) + 1) // 4)
-MAX_N = min(sequences.MAX_N, _PACKING_MAX_N)
-_CHUNK_BYTES = 1 << 21  # per int32 (rows, path) key array in bulk_printable
 
 
 class LatticeCell(NamedTuple):
@@ -68,12 +65,6 @@ class TriangleStrip:
 
     cells: tuple[LatticeCell, ...]
     expanded_signs: tuple[int, ...]
-
-
-def expand_signs(s: Iterable[int]) -> tuple[int, ...]:
-    """The sign sequence concatenated three times: one sign per strip triangle."""
-    t = sequences._validate(s)
-    return t * 3
 
 
 # Tripled-centroid displacement per direction index (60-degree steps).
@@ -110,7 +101,7 @@ def lay_strip(s: Iterable[int], glue: bool = False) -> TriangleStrip:
     t = sequences._validate(s)
     if not sequences.is_valid(t):
         raise ValueError(f"{t} is not a valid sign sequence")
-    expanded = expand_signs(t)
+    expanded = t * 3  # one sign per strip triangle
     walk_signs = expanded + (t[0],) if glue else expanded
     centers = _walk(walk_signs)
     return TriangleStrip(
@@ -153,11 +144,10 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     p and q do (the same signs lay them, turned or mirrored), so window r repeats
     a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
     """
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"n={n} is outside the printability kernel's range 3..{MAX_N}")
+    sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
     out = np.empty(len(masks), dtype=bool)
-    chunk = _CHUNK_BYTES // (path_len * 4)
+    chunk = max(1, sequences._BLOCK_BYTES // (path_len * 4))  # int32 (rows, path) keys
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
@@ -190,7 +180,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
 
 def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int:
     """Number of printable equivalence classes at length n."""
-    sequences.check_size(n, limit, "counting", MAX_N)
+    sequences.check_size(n, limit, "counting")
     masks = sequences.canonical_masks(n)
     expected = hexaflexagon_count(n)
     if len(masks) != expected:

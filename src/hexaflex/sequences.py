@@ -196,8 +196,8 @@ class ClassRecord:
 # and extension commutes with the orbit operations, so level n holds the
 # canonical forms of every one-position extension of level n - 1.
 
-MAX_N = 64  # the mask width
-_GROW_BYTES = 1 << 21  # per uint64 (n - 1, rows) array in _grow and class_rows
+MAX_N = 64  # the mask width: the one ceiling of every level kernel
+_BLOCK_BYTES = 1 << 21  # per temporary array of _grow, class_rows and geometry.bulk_printable
 
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint64)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
@@ -263,7 +263,7 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     sorts at most twice the level plus one block's set.  A level of one
     block is never sorted again.
     """
-    block = max(1, _GROW_BYTES // (8 * (n - 1)))
+    block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
     merged = _canonical_extensions(parent[:block], n)
     pending: list[np.ndarray] = []
     for start in range(block, len(parent), block):
@@ -283,8 +283,7 @@ def canonical_masks(n: int) -> np.ndarray:
     in bounded blocks of parents (see _grow), so the candidate arrays do not
     grow with the level.
     """
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"class masks need 3 <= n <= {MAX_N}, got {n}")
+    check_size(n, MAX_N, "the class ladder")
     grown = n
     while grown not in _LADDER:
         grown -= 1
@@ -355,9 +354,8 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     compares all L extensions of each row with the L + 1 rotations of its
     next chain entry and takes the first match.
     """
-    largest = min(MAX_N, np.iinfo(np.int8).max)  # int8 holds every step and label, each <= n
-    if not 3 <= n <= largest:
-        raise ValueError(f"batch histories need 3 <= n <= {largest}, got {n}")
+    # int8 holds every step and label, each <= n
+    check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
     one = np.uint64(1)
     chain = [np.asarray(masks, dtype=np.uint64)]
     for length in range(n, 3, -1):
@@ -409,9 +407,10 @@ def class_rows(
 
     The labels are build_pattern(reduction_history(signs)).labels, computed
     for a block of rows at a time so the (L, rows) extension arrays stay
-    within the ladder's byte budget.
+    within the level kernels' byte budget.
     """
-    block = max(1, _GROW_BYTES // (8 * n))
+    check_size(n, MAX_N, "the row kernel")
+    block = max(1, _BLOCK_BYTES // (8 * n))
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
@@ -424,12 +423,12 @@ def class_rows(
         yield from zip(signs, sums, rows)
 
 
-def check_size(n: int, limit: int, what: str, ceiling: int = MAX_N) -> None:
-    """The one size guard of enumeration and counting: 3 <= n <= limit <= ceiling."""
+def check_size(n: int, limit: int, what: str) -> None:
+    """The one size guard of every level kernel and command: 3 <= n <= limit <= MAX_N."""
     if n < 3:
         raise ValueError(f"{what} needs n >= 3, got {n}")
-    if limit > ceiling:
-        raise ValueError(f"limit {limit} exceeds the largest supported n {ceiling}")
+    if limit > MAX_N:
+        raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the {what} limit {limit}")
 

@@ -201,6 +201,33 @@ def test_net_writes_file(tmp_path, capsys):
     assert first.read_text().count("<polygon") == 13  # 12 triangles plus glue
 
 
+@pytest.mark.parametrize("name", ["", "missing/net.svg"], ids=["directory", "missing-parent"])
+def test_net_unwritable_out(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert run(["net", "--signs", "+++", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
+
+
+def test_enumerate_into_closed_pipe():
+    # as `hexaflex enumerate --n 20 | head -1`: far more output than a pipe buffers
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hexaflex", "enumerate", "--n", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"n": 20, ')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert err == b""
+
+
 def test_net_no_glue_polygon_count(capsys):
     assert run(["net", "--signs", "++--", "--no-glue"]) == 0
     assert capsys.readouterr().out.count("<polygon") == 12

@@ -4,12 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hexaflex import geometry
+from hexaflex import geometry, sequences
 from hexaflex.counting import hexaflexagon_count
 from hexaflex.geometry import (
     LatticeCell,
     bulk_printable,
-    expand_signs,
     is_printable,
     lay_strip,
     printable_class_count,
@@ -33,10 +32,6 @@ def _adjacent(a: LatticeCell, b: LatticeCell) -> bool:
     if a.orient != "up" or b.orient != "down":
         return False
     return (b.x, b.y) in {(a.x, a.y), (a.x, a.y - 1), (a.x - 1, a.y)}
-
-
-def test_expand_signs():
-    assert expand_signs((1, 1, -1)) == (1, 1, -1, 1, 1, -1, 1, 1, -1)
 
 
 def test_straight_row():
@@ -163,7 +158,7 @@ def test_bulk_printable_across_chunk_boundaries():
     n = 12
     masks = canonical_masks(n)
     flags = bulk_printable(masks, n)
-    chunk = geometry._CHUNK_BYTES // ((4 * n - 1) * 4)
+    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
     count = 2 * chunk + 2 * len(masks) + 1
     tiled = bulk_printable(np.resize(masks, count), n)
     assert np.array_equal(tiled, np.resize(flags, count))
@@ -174,10 +169,17 @@ def test_bulk_printable_across_chunk_boundaries():
     assert {bool(flag) for flag in flags} == {True, False}
 
 
+def test_bulk_printable_one_row_per_chunk(monkeypatch):
+    expected = {n: bulk_printable(canonical_masks(n), n) for n in range(3, 13)}
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
+    for n, flags in expected.items():
+        assert np.array_equal(bulk_printable(canonical_masks(n), n), flags)
+
+
 def test_bulk_printable_ceiling():
-    assert geometry.MAX_N == 64
+    assert sequences.MAX_N == 64
     with pytest.raises(ValueError):
-        bulk_printable(np.zeros(1, dtype=np.uint64), geometry.MAX_N + 1)
+        bulk_printable(np.zeros(1, dtype=np.uint64), sequences.MAX_N + 1)
 
 
 def test_bulk_printable_rejects_short_sequences():

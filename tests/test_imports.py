@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "hexaflex").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "hexaflex").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -32,3 +33,9 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_sources_parse_at_the_python_floor():
+    # requires-python in pyproject.toml is >= 3.10
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -256,8 +256,16 @@ def test_class_rows_one_row_per_block(monkeypatch):
         ]
 
     expected = levels()
-    monkeypatch.setattr(sequences, "_GROW_BYTES", 1)
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
     assert levels() == expected
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_class_rows_size_guard(labels):
+    # uint64 shifts past the mask width would wrap, and n = 0 divided by zero
+    for n in (0, 2, sequences.MAX_N + 1):
+        with pytest.raises(ValueError):
+            list(sequences.class_rows(np.array([5], dtype=np.uint64), n, labels=labels))
 
 
 @given(valid_sequences())
@@ -340,7 +348,7 @@ def test_ladder_grown_from_threads(monkeypatch):
 def test_ladder_grown_one_parent_per_block(monkeypatch):
     expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
     monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
-    monkeypatch.setattr(sequences, "_GROW_BYTES", 1)
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
     for n in range(3, 13):
         assert [signs_from_mask(m, n) for m in canonical_masks(n).tolist()] == naive_classes(n)
     for n in range(3, 19):
@@ -358,6 +366,13 @@ def test_canonical_masks_range():
 def test_enumerate_cardinality():
     for n in range(3, 17):
         assert len(enumerate_classes(n)) == hexaflexagon_count(n)
+
+
+def test_enumerate_classes_labels():
+    for n in range(3, 13):
+        for record in enumerate_classes(n, labels=True):
+            assert record.labels == build_pattern(reduction_history(record.signs)).labels
+        assert all(record.labels is None for record in enumerate_classes(n))
 
 
 def test_enumerate_records_are_canonical():
