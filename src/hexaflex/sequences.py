@@ -199,16 +199,21 @@ class ClassRecord:
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
 _BLOCK_BYTES = 1 << 21  # per temporary array of _grow, class_rows and geometry.bulk_printable
 
-_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint64)
+_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
 _LADDER[3].flags.writeable = False
 
 
 def _bitrev(x: np.ndarray, n: int) -> np.ndarray:
-    full = np.zeros_like(x)
-    for byte in range(8):
-        full |= _REV8[(x >> np.uint64(8 * byte)) & np.uint64(0xFF)] << np.uint64(56 - 8 * byte)
-    return full >> np.uint64(64 - n)
+    """Each n-bit mask reversed.
+
+    A 64-bit reversal is a byte-order reversal plus a bit reversal within
+    each byte, so the byte table works on either endianness.
+    """
+    full = _REV8[np.ascontiguousarray(x).view(np.uint8)].view(np.uint64)
+    full.byteswap(inplace=True)
+    full >>= np.uint64(64 - n)
+    return full
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -221,17 +226,36 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
-    """Largest rotation of each mask or of its reversal."""
-    best = x.copy()
-    mask = np.uint64((1 << n) - 1)
-    top = np.uint64(n - 1)
-    for v in (x.copy(), _bitrev(x, n)):
-        for _ in range(n):
-            np.maximum(best, v, out=best)
-            wrap = v >> top
-            v <<= np.uint64(1)
-            v &= mask
-            v |= wrap
+    """Largest rotation of each mask or of its reversal.
+
+    A window word holds one rotation in its top n bits and the next 64 - n
+    bits of the cycle below them, so each left shift by s < 65 - n puts one
+    more rotation on top.  The bits below never decide a maximum.  One
+    window covers every rotation up to n = 32; above that a new window
+    starts every 65 - n rotations.
+    """
+    span = 65 - n  # rotations per window
+    best = np.zeros_like(x)
+    window = np.empty_like(x)
+    shifted = np.empty_like(x)
+    for v in (x, _bitrev(x, n)):
+        for start in range(0, n, span):
+            # the cycle from rotation start, repeated down the 64 bits
+            np.left_shift(v, np.uint64(64 - n + start), out=window)
+            if start:
+                np.right_shift(v, np.uint64(n - start), out=shifted)
+                shifted <<= np.uint64(64 - n)
+                window |= shifted
+            period = n
+            while period < 64:
+                np.right_shift(window, np.uint64(period), out=shifted)
+                window |= shifted
+                period *= 2
+            np.maximum(best, window, out=best)
+            for s in range(1, min(span, n - start)):
+                np.left_shift(window, np.uint64(s), out=shifted)
+                np.maximum(best, shifted, out=best)
+    best >>= np.uint64(64 - n)
     return best
 
 

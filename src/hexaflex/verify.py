@@ -366,6 +366,12 @@ def _suite_class_count(max_n: int) -> None:
         _check(formula == len(ladder), f"H({n}): formula {formula} != ladder {len(ladder)}")
         if n <= 10:
             _check(naive_classes(n) == ladder, f"H({n}): ladder differs from the naive scan")
+        if n <= 12:
+            for signs in ladder:
+                _check(
+                    signs == sequences.canonicalize(signs),
+                    f"H({n}): ladder class {signs} is not its canonical form",
+                )
 
 
 def _suite_printable(max_n: int) -> None:

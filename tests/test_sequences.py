@@ -319,6 +319,37 @@ def test_ladder_step_at_full_mask_width():
     assert grown.tolist() == sorted(expected, reverse=True)
 
 
+def test_orbit_max_and_bitrev_match_strings():
+    # every width, so the window boundaries at n = 32, 33 and 64 are crossed
+    rng = np.random.default_rng(17)
+    for n in range(3, sequences.MAX_N + 1):
+        full = (1 << n) - 1
+        masks = rng.integers(0, 1 << 63, size=60, dtype=np.uint64) << np.uint64(1)
+        masks |= rng.integers(0, 2, size=60, dtype=np.uint64)
+        masks &= np.uint64(full)
+        edges = [0, full] + [1 << b for b in range(n)]
+        masks = np.concatenate([masks, np.array(edges, dtype=np.uint64)])
+        for x in (masks, masks[::3]):  # contiguous and strided
+            bits = [format(m, f"0{n}b") for m in x.tolist()]
+            assert sequences._bitrev(x, n).tolist() == [int(b[::-1], 2) for b in bits]
+            expected = [
+                max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
+                for b in bits
+            ]
+            assert sequences._orbit_max(x, n).tolist() == expected
+
+
+def test_ladder_canonical_against_tuple_oracle():
+    # above n = 12 the naive scan is too slow; check order and a seeded sample
+    rng = np.random.default_rng(19)
+    for n in range(13, 25):
+        masks = canonical_masks(n)
+        assert (masks[:-1] > masks[1:]).all()
+        for m in masks[rng.choice(len(masks), min(300, len(masks)), replace=False)].tolist():
+            signs = signs_from_mask(m, n)
+            assert signs == canonicalize(signs)
+
+
 def test_ladder_grown_from_threads(monkeypatch):
     expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
     monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
