@@ -96,15 +96,16 @@ def _jsonl(
 
 def cmd_net(args: argparse.Namespace) -> int:
     if args.signs is not None:
+        if args.index is not None:
+            raise ValueError("--index applies only with --n")
         signs = _parse_signs(args.signs)
     else:
+        index = 0 if args.index is None else args.index
         sequences.check_size(args.n, args.limit, "enumeration")
         masks = sequences.canonical_masks(args.n)
-        if not 0 <= args.index < len(masks):
-            raise ValueError(
-                f"--index {args.index} out of range: n={args.n} has {len(masks)} classes"
-            )
-        signs = sequences.signs_from_mask(int(masks[args.index]), args.n)
+        if not 0 <= index < len(masks):
+            raise ValueError(f"--index {index} out of range: n={args.n} has {len(masks)} classes")
+        signs = sequences.signs_from_mask(int(masks[index]), args.n)
     if not sequences.is_valid(signs):
         sys.stderr.write(f"invalid sign sequence: {_explain_invalid(signs)}\n")
         return INVALID_SIGNS
@@ -173,7 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
     which = net.add_mutually_exclusive_group(required=True)
     which.add_argument("--signs", help="sign sequence, '++--' or '1,1,-1,-1'")
     which.add_argument("--n", type=int, help="enumerate length n and pick --index")
-    net.add_argument("--index", type=int, default=0, help="class index in canonical order")
+    net.add_argument(
+        "--index", type=int, help="class index in canonical order with --n (default 0)"
+    )
     net.add_argument("--side", choices=["front", "back"], default="front")
     net.add_argument(
         "--glue",

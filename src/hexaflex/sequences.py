@@ -121,14 +121,35 @@ def is_valid(s: Iterable[int]) -> bool:
     return sum(t) in sum_set(n)
 
 
+# The contraction rule of reduction_history and _histories: contract at the
+# leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Two
+# lemmas let both kernels skip the wrapped pair (a_L, a_1) and the ends.
+#
+# Lemma B: every sum in sum_set(m) is a multiple of 3, since the bases sum to
+# +-3 and an extension moves the sum by +-3.  A sequence whose only equal pair
+# is the wrapped one alternates inside and has odd length, so it sums to +-1
+# and is invalid: once the sum passes, an inner equal pair exists.
+#
+# Lemma A: if contracting the wrapped pair (a, a) of t (L >= 4) gives a valid
+# sequence, so does an inner pair, so the wrapped pair is never the leftmost.
+# Every a-pair moves the sum to s - 3a.  An a-pair at 2 <= p <= L - 2 keeps
+# a_L = a_1 adjacent.  Else a_2 = a (so a_3 = -a) or a_{L-1} = a (so a_{L-2} =
+# -a), and contracting there leaves (-a, -a) at an end.  Else every other a
+# is isolated; take a = +1 (inversion mirrors the rest), so s <= 1.  t does
+# not alternate inside (s - 3 = -2 would break Lemma B), so it has an inner
+# (-, -) pair, which keeps a_L = a_1 adjacent and gives the sum
+# s + 3 = (s - 3) + 6 <= max sum_set(L - 1), as s - 3 < 0.
+
+
 def reduction_history(s: Iterable[int]) -> list[int]:
     """Extension positions that replay from (1, 1, 1) to an orbit member of s.
 
-    Contracts s down to the length-3 base by the leftmost valid contraction,
-    then replays upwards: each step takes the first extension position whose
-    result is a rotation of the next chain entry.  A chain that lands on
-    (-1, -1, -1) is replayed from there against itself, which picks the same
-    positions as inverting the whole chain.
+    Contracts s down to the length-3 base by the leftmost valid contraction
+    (never at the wrapped pair; see the lemmas above), then replays upwards:
+    each step takes the first extension position whose result is a rotation
+    of the next chain entry.  A chain that lands on (-1, -1, -1) is replayed
+    from there against itself, which picks the same positions as inverting
+    the whole chain.
 
     The sequence is kept as a '+'/'-' string with its sum alongside, so a
     validity check is a sum_set lookup plus a search for an equal pair, and
@@ -143,17 +164,16 @@ def reduction_history(s: Iterable[int]) -> list[int]:
     while len(cur) > 3:
         n = len(cur)
         sums = sum_set(n - 1)
-        for p in range(1, n + 1):
+        for p in range(1, n):  # never the wrapped pair (Lemma A)
             a = cur[p - 1]
-            if a != cur[p % n]:
+            if a != cur[p]:
                 continue
             # the pair (a, a) becomes one -a: the sum moves by -3a
             shorter_total = total - 3 if a == "+" else total + 3
             if shorter_total not in sums:
                 continue
-            b = "-" if a == "+" else "+"
-            shorter = cur[: p - 1] + b + cur[p + 1 :] if p < n else b + cur[1 : n - 1]
-            if "++" in shorter or "--" in shorter or shorter[0] == shorter[-1]:
+            shorter = cur[: p - 1] + ("-" if a == "+" else "+") + cur[p + 1 :]
+            if "++" in shorter or "--" in shorter:  # the ends need no test (Lemma B)
                 cur, total = shorter, shorter_total
                 break
         else:
@@ -363,18 +383,15 @@ def _contract(x: np.ndarray, length: int) -> np.ndarray:
         top |= top >> np.uint64(shift)
     j = np.bitwise_count(top).astype(np.uint64) - one  # the highest valid bit
     merged = ((x >> j) & one) ^ one  # the pair (a, a) becomes one -a
-    # a pair at bits (j, j - 1) merges in place; the wrapped pair at bits
-    # (0, L - 1) merges into the first position
-    k = np.maximum(j, one)
-    inner = (x >> (k + one)) << k | merged << (k - one) | x & ((one << (k - one)) - one)
-    wrapped = merged << np.uint64(length - 2) | (x >> one) & np.uint64((1 << (length - 2)) - 1)
-    return np.where(j == 0, wrapped, inner)
+    # the pair at bits (j, j - 1) merges in place; j > 0 by Lemma A
+    return (x >> (j + one)) << j | merged << (j - one) | x & ((one << (j - one)) - one)
 
 
 def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     """reduction_history of each length-n mask, as an int8 (rows, n - 3) array.
 
-    Every row is contracted down to length 3 together; the replay then
+    Every row is contracted down to length 3 together, never at the wrapped
+    pair (see the lemmas above reduction_history); the replay then
     compares all L extensions of each row with the L + 1 rotations of its
     next chain entry and takes the first match.
     """

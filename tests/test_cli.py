@@ -353,3 +353,14 @@ def test_python_m(module):
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_net_index_only_with_n(capsys):
+    assert run(["net", "--signs", "+++", "--index", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --index applies only with --n\n"
+    assert captured.out == ""
+    assert run(["net", "--n", "6", "--side", "back"]) == 0
+    default = capsys.readouterr().out
+    assert run(["net", "--n", "6", "--index", "0", "--side", "back"]) == 0
+    assert capsys.readouterr().out == default

@@ -1,4 +1,8 @@
-"""Every name a module of the package imports is used or re-exported."""
+"""Static checks of the package's modules.
+
+Every name a module imports is used or re-exported, and no module has an
+assert statement: limits and invariants must survive `python -O`.
+"""
 
 import ast
 from pathlib import Path
@@ -39,3 +43,9 @@ def test_sources_parse_at_the_python_floor():
     # requires-python in pyproject.toml is >= 3.10
     for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
