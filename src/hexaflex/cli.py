@@ -75,22 +75,18 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     sequences.check_size(n, args.limit, "enumeration")
-    masks = sequences.canonical_masks(n)
-    flags = geometry.bulk_printable(masks, n).tolist()
-    rows = sequences.class_rows(masks, n, labels=args.with_labels)
-    sys.stdout.writelines(_jsonl(n, rows, flags))
+    rows = sequences.class_rows(sequences.canonical_masks(n), n, labels=args.with_labels)
+    sys.stdout.writelines(_jsonl(n, rows))
     return 0
 
 
-def _jsonl(
-    n: int, rows: Iterable[tuple[str, int, Optional[list[int]]]], flags: list[bool]
-) -> Iterator[str]:
+def _jsonl(n: int, rows: Iterable[tuple[str, int, bool, Optional[list[int]]]]) -> Iterator[str]:
     """One JSON object per class, as json.dumps writes it, keys in record order."""
-    for (signs, total, labels), flag in zip(rows, flags):
+    for signs, total, printable, labels in rows:
         tail = "" if labels is None else f', "labels": {labels}'  # a list of ints prints as JSON
         yield (
             f'{{"n": {n}, "signs": "{signs}", "sum": {total}, '
-            f'"printable": {"true" if flag else "false"}{tail}}}\n'
+            f'"printable": {"true" if printable else "false"}{tail}}}\n'
         )
 
 
@@ -127,7 +123,7 @@ def cmd_net(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    ok = verify.run_suites(args.max_n, paper_bracelet=args.paper_bracelet, report=print)
+    ok = verify.run_suites(args.max_n, paper_bracelet=args.paper_bracelet)
     return 0 if ok else 1
 
 

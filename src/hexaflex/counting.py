@@ -9,6 +9,7 @@ correction for zero-sum classes fixed by sign inversion.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -43,6 +44,7 @@ def _prime_factors(m: int) -> list[tuple[int, int]]:
 
 def totient(m: int) -> int:
     """Euler's totient of a positive integer."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"totient is defined for positive integers, got {m}")
     result = m
@@ -53,6 +55,7 @@ def totient(m: int) -> int:
 
 def moebius(m: int) -> int:
     """Moebius function: 0 if m has a squared prime factor, else (-1)^(#primes)."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"moebius is defined for positive integers, got {m}")
     factors = _prime_factors(m)
@@ -82,16 +85,19 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def _check_args(n: int, k: int) -> None:
+def _check_args(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as Python ints, so a numpy integer cannot overflow or leak into a result."""
+    n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k} with n={n}")
+    return n, k
 
 
 def necklace_count(n: int, k: int) -> int:
     """Binary necklaces of length n with k ones (strings up to cyclic shift)."""
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     g = math.gcd(n, k)  # gcd(n, 0) == n, so k == 0 works out to 1 necklace
     total = sum(totient(j) * binomial(n // j, k // j) for j in _divisors(g))
     q, r = divmod(total, n)
@@ -111,7 +117,7 @@ def _reflection_fixed(n: int, k: int) -> int:
 
 def bracelet_count(n: int, k: int) -> int:
     """Binary bracelets of length n with k ones (strings up to shift and reversal)."""
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     total = necklace_count(n, k) + _reflection_fixed(n, k)
     q, r = divmod(total, 2)
     if r:
@@ -127,7 +133,7 @@ def _bracelet_even_even_printed(n: int, k: int) -> Fraction:
     hidden --paper-bracelet flag to demonstrate why the corrected branch above
     is the one in use.
     """
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     if n % 2 or k % 2:
         return Fraction(bracelet_count(n, k))
     half = Fraction(necklace_count(n, k), 2)
@@ -138,7 +144,7 @@ def _bracelet_even_even_printed(n: int, k: int) -> Fraction:
 
 def lyndon_count(n: int, k: int) -> int:
     """Aperiodic binary necklaces of length n with k ones."""
-    _check_args(n, k)
+    n, k = _check_args(n, k)
     g = math.gcd(n, k)
     total = sum(moebius(j) * binomial(n // j, k // j) for j in _divisors(g))
     q, r = divmod(total, n)
@@ -154,6 +160,7 @@ def self_conjugate_count(n: int) -> int:
     zeros.  Runs over compositions: k block-size parts interleaved with their
     complements, grouped by the divisor l of gcd(n/2, k).
     """
+    n = operator.index(n)
     if n < 2 or n % 2:
         raise ValueError(f"self-conjugate classes need even n >= 2, got {n}")
     half = n // 2
@@ -170,6 +177,7 @@ def sum_set(n: int) -> tuple[int, ...]:
     A step-6 progression whose bounds depend on n mod 3:
     -n..n for n % 3 == 0, (-n+4)..(n-4) for n % 3 == 1, (-n+2)..(n-2) otherwise.
     """
+    n = operator.index(n)
     if n < 3:
         raise ValueError(f"sum_set needs n >= 3, got {n}")
     r = n % 3
@@ -189,6 +197,7 @@ def hexaflexagon_count(n: int) -> int:
     zero-sum layer is corrected by the self-conjugate count (inversion orbits)
     and the unreachable alternating class is subtracted.
     """
+    n = operator.index(n)
     if n < 3:
         raise ValueError(f"hexaflexagon_count needs n >= 3, got {n}")
     if n % 2:

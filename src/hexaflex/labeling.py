@@ -9,6 +9,7 @@ the path three times over the physical strip, alternating top and bottom.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,15 +58,20 @@ def build_pattern(history: Iterable[int]) -> PatternPath:
     A step at path position i inserts the next face number with sign -s
     immediately before position i and flips node i to -s, where s was node
     i's sign; the sign projection is exactly sequences.extend at position i.
+    A step may be any integer type, such as a row of numpy int8 steps, but
+    not a bool.
     """
     nodes = [(1, 1), (2, 1), (3, 1)]
     for step in history:
         m = len(nodes)
-        if not isinstance(step, int) or isinstance(step, bool) or not 1 <= step <= m:
-            raise ValueError(f"history step {step!r} out of range 1..{m}")
-        label, sign = nodes[step - 1]
-        nodes[step - 1] = (label, -sign)
-        nodes.insert(step - 1, (m + 1, -sign))
+        if isinstance(step, bool) or not hasattr(type(step), "__index__"):
+            raise ValueError(f"history step {step!r} is a {type(step).__name__}, not an integer")
+        i = operator.index(step)
+        if not 1 <= i <= m:
+            raise ValueError(f"history step {i} out of range 1..{m}")
+        label, sign = nodes[i - 1]
+        nodes[i - 1] = (label, -sign)
+        nodes.insert(i - 1, (m + 1, -sign))
     return PatternPath(tuple(nodes))
 
 

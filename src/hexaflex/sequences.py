@@ -202,7 +202,7 @@ class ClassRecord:
     n: int
     signs: SignSequence
     sum: int
-    printable: Optional[bool] = None
+    printable: bool
     labels: Optional[tuple[int, ...]] = None
 
 
@@ -443,25 +443,29 @@ def _labels(steps: np.ndarray, n: int) -> np.ndarray:
 
 def class_rows(
     masks: np.ndarray, n: int, *, labels: bool = False
-) -> Iterator[tuple[str, int, Optional[list[int]]]]:
-    """(signs as '+'/'-' text, sum, face labels or None) of each length-n mask.
+) -> Iterator[tuple[str, int, bool, Optional[list[int]]]]:
+    """(signs as '+'/'-' text, sum, printable, face labels or None) of each length-n mask.
 
-    The labels are build_pattern(reduction_history(signs)).labels, computed
-    for a block of rows at a time so the (L, rows) extension arrays stay
-    within the level kernels' byte budget.
+    printable is geometry.bulk_printable's flag and the labels are
+    build_pattern(reduction_history(signs)).labels, both computed for a block
+    of rows at a time so the (L, rows) arrays stay within the level kernels'
+    byte budget.
     """
+    from . import geometry  # geometry imports this module
+
     check_size(n, MAX_N, "the row kernel")
     block = max(1, _BLOCK_BYTES // (8 * n))
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
+        flags = geometry.bulk_printable(chunk, n).tolist()
         text = _SIGN_BYTES[(chunk[:, None] >> shifts) & np.uint64(1)].view(f"S{n}")
         signs = text.ravel().astype(f"U{n}").tolist()
         sums = (2 * np.bitwise_count(chunk).astype(np.int64) - n).tolist()
         rows = repeat(None)
         if labels:  # listed row by row, so a block's label lists are never all alive at once
             rows = map(np.ndarray.tolist, _labels(_histories(chunk, n), n))
-        yield from zip(signs, sums, rows)
+        yield from zip(signs, sums, flags, rows)
 
 
 def check_size(n: int, limit: int, what: str) -> None:
@@ -475,11 +479,7 @@ def check_size(n: int, limit: int, what: str) -> None:
 
 
 def enumerate_classes(
-    n: int,
-    *,
-    printability: bool = False,
-    labels: bool = False,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
+    n: int, *, labels: bool = False, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> list[ClassRecord]:
     """Every equivalence class at length n, canonically sorted.
 
@@ -487,12 +487,6 @@ def enumerate_classes(
     number equals counting.hexaflexagon_count(n).
     """
     check_size(n, limit, "enumeration")
-    masks = canonical_masks(n)
-    flags = repeat(None)
-    if printability:
-        from . import geometry
-
-        flags = geometry.bulk_printable(masks, n).tolist()
     return [
         ClassRecord(
             n=n,
@@ -501,5 +495,5 @@ def enumerate_classes(
             printable=flag,
             labels=None if row is None else tuple(row),
         )
-        for (text, total, row), flag in zip(class_rows(masks, n, labels=labels), flags)
+        for text, total, flag, row in class_rows(canonical_masks(n), n, labels=labels)
     ]

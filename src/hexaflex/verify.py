@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import counting, geometry, labeling, render, sequences
 
@@ -316,40 +316,26 @@ def _check(condition: bool, detail: str) -> None:
         raise SuiteFailure(detail)
 
 
-def _suite_necklace(max_n: int) -> None:
+def _suite_formula(
+    letter: str, formula: Callable[[int, int], int], brute: Callable[[int, int], int], max_n: int
+) -> None:
     for n in range(1, min(max_n, 14) + 1):
         for k in range(n + 1):
-            formula = counting.necklace_count(n, k)
-            brute = brute_necklace_count(n, k)
-            _check(formula == brute, f"N({n},{k}): formula {formula} != brute {brute}")
+            value, count = formula(n, k), brute(n, k)
+            _check(value == count, f"{letter}({n},{k}): formula {value} != brute {count}")
 
 
-def _suite_bracelet(max_n: int, paper_bracelet: bool) -> None:
-    if paper_bracelet:
-        # scan the domain the class-count theorem actually uses (n >= 3,
-        # k >= 1); the first even/even pair there is (4, 2)
-        for n in range(3, min(max_n, 14) + 1):
-            for k in range(1, n + 1):
-                brute = brute_bracelet_count(n, k)
-                formula = counting._bracelet_even_even_printed(n, k)
-                _check(
-                    formula == brute,
-                    f"B({n},{k}): even/even variant gives {formula}, brute-force {brute}",
-                )
-        return
-    for n in range(1, min(max_n, 14) + 1):
-        for k in range(n + 1):
+def _suite_paper_bracelet(max_n: int) -> None:
+    # scan the domain the class-count theorem actually uses (n >= 3,
+    # k >= 1); the first even/even pair there is (4, 2)
+    for n in range(3, min(max_n, 14) + 1):
+        for k in range(1, n + 1):
             brute = brute_bracelet_count(n, k)
-            formula = counting.bracelet_count(n, k)
-            _check(formula == brute, f"B({n},{k}): formula {formula} != brute {brute}")
-
-
-def _suite_lyndon(max_n: int) -> None:
-    for n in range(1, min(max_n, 14) + 1):
-        for k in range(n + 1):
-            formula = counting.lyndon_count(n, k)
-            brute = brute_lyndon_count(n, k)
-            _check(formula == brute, f"L({n},{k}): formula {formula} != brute {brute}")
+            formula = counting._bracelet_even_even_printed(n, k)
+            _check(
+                formula == brute,
+                f"B({n},{k}): even/even variant gives {formula}, brute-force {brute}",
+            )
 
 
 def _suite_self_conjugate(max_n: int) -> None:
@@ -376,8 +362,7 @@ def _suite_class_count(max_n: int) -> None:
 
 def _suite_printable(max_n: int) -> None:
     for n in range(3, min(max_n, 12) + 1):
-        records = sequences.enumerate_classes(n, printability=True)
-        for record in records:
+        for record in sequences.enumerate_classes(n):
             naive = naive_is_printable(record.signs)
             _check(
                 naive == record.printable,
@@ -425,10 +410,13 @@ def _suite_labeling(max_n: int) -> None:
                 )
 
 
-_SUITES: list[tuple[str, Callable]] = [
-    ("necklace", lambda max_n, pb: _suite_necklace(max_n)),
-    ("bracelet", lambda max_n, pb: _suite_bracelet(max_n, pb)),
-    ("lyndon", lambda max_n, pb: _suite_lyndon(max_n)),
+_SUITES: list[tuple[str, Callable[[int, bool], None]]] = [
+    ("necklace", lambda max_n, pb: _suite_formula(
+        "N", counting.necklace_count, brute_necklace_count, max_n)),
+    ("bracelet", lambda max_n, pb: _suite_paper_bracelet(max_n) if pb else _suite_formula(
+        "B", counting.bracelet_count, brute_bracelet_count, max_n)),
+    ("lyndon", lambda max_n, pb: _suite_formula(
+        "L", counting.lyndon_count, brute_lyndon_count, max_n)),
     ("self-conjugate", lambda max_n, pb: _suite_self_conjugate(max_n)),
     ("class-count", lambda max_n, pb: _suite_class_count(max_n)),
     ("printable", lambda max_n, pb: _suite_printable(max_n)),
@@ -437,22 +425,17 @@ _SUITES: list[tuple[str, Callable]] = [
 ]
 
 
-def run_suites(
-    max_n: int,
-    paper_bracelet: bool = False,
-    report: Optional[Callable[[str], None]] = None,
-) -> bool:
-    """Run every suite up to max_n; report one line per suite; True iff all pass."""
+def run_suites(max_n: int, paper_bracelet: bool = False) -> bool:
+    """Run every suite up to max_n; print one line per suite; True iff all pass."""
     if max_n < 3:
         raise ValueError(f"verify needs --max-n >= 3, got {max_n}")
-    emit = report or (lambda line: None)
     all_ok = True
     for name, runner in _SUITES:
         try:
             runner(max_n, paper_bracelet)
         except SuiteFailure as failure:
-            emit(f"FAIL {name}: {failure}")
+            print(f"FAIL {name}: {failure}")
             all_ok = False
         else:
-            emit(f"PASS {name}")
+            print(f"PASS {name}")
     return all_ok

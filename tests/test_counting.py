@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hexaflex import counting
@@ -153,3 +154,21 @@ def test_gcd_zero_convention():
     for n in range(1, 20):
         assert necklace_count(n, 0) == 1
         assert math.gcd(n, 0) == n
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+def test_closed_forms_exact_for_numpy_integers(kind):
+    # a numpy argument must neither overflow nor leak into the result
+    for n in range(3, 81):
+        value = hexaflexagon_count(kind(n))
+        assert type(value) is int and value == hexaflexagon_count(n)
+        if n % 2 == 0:
+            value = self_conjugate_count(kind(n))
+            assert type(value) is int and value == self_conjugate_count(n)
+        assert sum_set(kind(n)) == sum_set(n)
+        for one in (totient, moebius):
+            assert type(one(kind(n))) is int and one(kind(n)) == one(n)
+        for k in range(0, n + 1, 5):
+            for count in (necklace_count, bracelet_count, lyndon_count):
+                value = count(kind(n), kind(k))
+                assert type(value) is int and value == count(n, k), (count.__name__, n, k)

@@ -114,7 +114,7 @@ def test_bulk_matches_per_sequence():
 
 def test_bulk_matches_full_orbit_oracle():
     for n in range(3, 16):
-        for record in enumerate_classes(n, printability=True):
+        for record in enumerate_classes(n):
             assert record.printable == naive_is_printable(record.signs)
 
 

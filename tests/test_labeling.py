@@ -1,9 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hexaflex import sequences
 from hexaflex.labeling import PatternPath, build_pattern, strip_labels
-from hexaflex.sequences import enumerate_classes, extend, reduction_history
+from hexaflex.sequences import (
+    canonical_masks,
+    enumerate_classes,
+    extend,
+    reduction_history,
+    signs_from_mask,
+)
 from hexaflex.verify import blockwise_strip_labels
 
 
@@ -42,6 +50,24 @@ def test_malformed_history():
         build_pattern([0])
     with pytest.raises(ValueError):
         build_pattern([3, 9])
+
+
+def test_build_pattern_takes_numpy_steps():
+    # the batch kernel emits each history as a row of int8 steps
+    n = 11
+    masks = canonical_masks(n)
+    for mask, row in zip(masks.tolist(), sequences._histories(masks, n)):
+        history = reduction_history(signs_from_mask(mask, n))
+        assert build_pattern(row) == build_pattern(history)
+    assert build_pattern(np.array([1, 2])) == build_pattern([1, 2])
+    with pytest.raises(ValueError, match=r"history step 5 out of range 1\.\.4"):
+        build_pattern(np.array([1, 5], dtype=np.int64))
+
+
+@pytest.mark.parametrize("step", [True, np.True_, 1.0, np.float64(1.0), "1", None], ids=repr)
+def test_build_pattern_rejects_non_integer_steps(step):
+    with pytest.raises(ValueError, match=f"is a {type(step).__name__}, not an integer"):
+        build_pattern([step])
 
 
 @given(histories())

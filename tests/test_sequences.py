@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexaflex import sequences
+from hexaflex import geometry, sequences
 from hexaflex.counting import hexaflexagon_count, sum_set
 from hexaflex.labeling import build_pattern
 from hexaflex.sequences import (
@@ -260,6 +260,17 @@ def test_class_rows_one_row_per_block(monkeypatch):
     assert levels() == expected
 
 
+def test_class_rows_printable_matches_whole_level(monkeypatch):
+    # class_rows computes the flags block by block; one whole-level call is the reference
+    levels = range(3, 17)
+    expected = {n: geometry.bulk_printable(canonical_masks(n), n).tolist() for n in levels}
+    for block_bytes in (sequences._BLOCK_BYTES, 1):
+        monkeypatch.setattr(sequences, "_BLOCK_BYTES", block_bytes)
+        for n in levels:
+            flags = [row[2] for row in sequences.class_rows(canonical_masks(n), n)]
+            assert flags == expected[n], (n, block_bytes)
+
+
 @pytest.mark.parametrize("labels", [False, True])
 def test_class_rows_size_guard(labels):
     # uint64 shifts past the mask width would wrap, and n = 0 divided by zero
@@ -285,7 +296,7 @@ def test_enumerate_classes_n6():
         (1, 1, -1, 1, -1, -1),
     ]
     assert [r.sum for r in records] == [6, 0, 0]
-    assert all(r.printable is None for r in records)
+    assert [r.printable for r in records] == [True, True, True]
 
 
 def test_enumerate_matches_naive_scan():
