@@ -71,6 +71,8 @@ class TriangleStrip:
 # Even indices leave up cells, odd indices leave down cells.
 _DX = (1, -1, -2, -1, 1, 2)
 _DY = (1, 2, 1, -1, -2, -1)
+# Orientation by tripled centroid mod 3: (3x + 1, 3y + 1) is up(x, y), (3x + 2, 3y + 2) down(x, y).
+_ORIENT = (None, "up", "down")
 
 
 def _walk(signs: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -90,12 +92,6 @@ def _walk(signs: tuple[int, ...]) -> list[tuple[int, int]]:
     return cells
 
 
-def _cell_from_center(cx: int, cy: int) -> LatticeCell:
-    if cx % 3 == 1:
-        return LatticeCell((cx - 1) // 3, (cy - 1) // 3, "up")
-    return LatticeCell((cx - 2) // 3, (cy - 2) // 3, "down")
-
-
 def lay_strip(s: Iterable[int], glue: bool = False) -> TriangleStrip:
     """Lay the 3n strip triangles (plus one glue triangle) on the lattice."""
     t = sequences._validate(s)
@@ -104,10 +100,8 @@ def lay_strip(s: Iterable[int], glue: bool = False) -> TriangleStrip:
     expanded = t * 3  # one sign per strip triangle
     walk_signs = expanded + (t[0],) if glue else expanded
     centers = _walk(walk_signs)
-    return TriangleStrip(
-        cells=tuple(_cell_from_center(cx, cy) for cx, cy in centers),
-        expanded_signs=expanded,
-    )
+    cells = [tuple.__new__(LatticeCell, (cx // 3, cy // 3, _ORIENT[cx % 3])) for cx, cy in centers]
+    return TriangleStrip(cells=tuple(cells), expanded_signs=expanded)
 
 
 def is_printable(s: Iterable[int]) -> bool:

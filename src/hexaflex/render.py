@@ -31,11 +31,6 @@ def _fmt(v: float) -> str:
     return "0" if text == "-0" else text
 
 
-# Each cell's edges as index pairs into LatticeCell.corners(), smaller corner
-# first: up cells give (x,y),(x+1,y),(x,y+1), down cells (x+1,y),(x,y+1),(x+1,y+1).
-_EDGES = {"up": ((0, 2), (0, 1), (2, 1)), "down": ((1, 0), (1, 2), (0, 2))}
-
-
 def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front", scale: float = 40.0) -> str:
     """SVG document for one side of a labeled strip.
 
@@ -60,18 +55,39 @@ def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front",
     return "\n".join(parts)
 
 
+class _Formats(dict):
+    """_fmt of each float, computed on first lookup; one instance per document."""
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = _fmt(v)
+        return text
+
+
 def _svg_lines(
     cells: Sequence[LatticeCell], row: Sequence[int], side: str, scale: float
 ) -> list[str]:
-    """The document's lines; each distinct corner is projected and formatted once."""
-    corner_sets = [cell.corners() for cell in cells]
-    # distinct corners in sorted order, so an edge between ranks i < j sorts
-    # as the integer i * size + j
-    points = sorted({c for corners in corner_sets for c in corners})
+    """The document's lines, built over the whole strip at once.
+
+    Each corner (a, b) is keyed by the int a * stride + (b - bmin), which sorts
+    as the tuple does; each distinct corner is projected once, and each
+    distinct float is formatted once.
+    """
+    bs = [cell.y for cell in cells]
+    bmin = min(bs)
+    stride = max(bs) + 2 - bmin  # corners have b in bmin .. max(y) + 1
+    keys: list[int] = []  # three per cell, in LatticeCell.corners() order
+    for x, y, orient in cells:
+        k = x * stride + y - bmin
+        if orient == "up":  # (x, y), (x + 1, y), (x, y + 1)
+            keys += (k, k + stride, k + 1)
+        else:  # (x + 1, y), (x, y + 1), (x + 1, y + 1)
+            keys += (k + stride, k + 1, k + stride + 1)
+    points = sorted(set(keys))
     size = len(points)
-    rank = {c: i for i, c in enumerate(points)}
-    xs = [a + b / 2.0 for a, b in points]
-    ys = [b * _SQRT3_2 for a, b in points]
+    ranks = list(map(dict(zip(points, range(size))).__getitem__, keys))
+    ab = [divmod(k, stride) for k in points]
+    xs = [a + (d + bmin) / 2.0 for a, d in ab]
+    ys = [(d + bmin) * _SQRT3_2 for _, d in ab]
     xmin, xmax = min(xs) - _MARGIN, max(xs) + _MARGIN
     ymin, ymax = min(ys) - _MARGIN, max(ys) + _MARGIN
     w, h = (xmax - xmin) * scale, (ymax - ymin) * scale
@@ -80,22 +96,21 @@ def _svg_lines(
             f"scale {scale} gives a {w:g} by {h:g} pixel document; "
             f"width and height must not exceed {MAX_DOCUMENT_SIZE:g}"
         )
+    if side == "back":
+        xs = [(xmin + xmax) - x for x in xs]
+    px = [(x - xmin) * scale for x in xs]
+    # flip y: lattice y grows upward, SVG y grows downward
+    py = [(ymax - y) * scale for y in ys]
+    fmt = _Formats()
+    fx, fy = list(map(fmt.__getitem__, px)), list(map(fmt.__getitem__, py))
+    pt = [f"{x},{y}" for x, y in zip(fx, fy)]
+    printed = len(set(pt))  # coordinates are printed to 0.001
+    if printed < size:
+        raise ValueError(f"scale {scale} prints {size} distinct corners at {printed} points")
+    start = [f'x1="{x}" y1="{y}"' for x, y in zip(fx, fy)]
+    end = [f'x2="{x}" y2="{y}"' for x, y in zip(fx, fy)]
 
-    def project(c: tuple[int, int]) -> tuple[float, float]:
-        a, b = c
-        x = a + b / 2.0
-        if side == "back":
-            x = (xmin + xmax) - x
-        # flip y: lattice y grows upward, SVG y grows downward
-        return ((x - xmin) * scale, (ymax - b * _SQRT3_2) * scale)
-
-    fx, fy = [], []
-    for c in points:
-        x, y = project(c)
-        fx.append(_fmt(x))
-        fy.append(_fmt(y))
-    width, height = _fmt(w), _fmt(h)
-    font = _fmt(scale * 0.4)
+    width, height = fmt[w], fmt[h]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}"'
@@ -104,36 +119,28 @@ def _svg_lines(
         "    polygon { fill: white; stroke: none; }",
         "    line.solid { stroke: black; stroke-width: 1; }",
         "    line.fold { stroke: black; stroke-width: 1; stroke-dasharray: 4 3; }",
-        f"    text {{ font-family: sans-serif; font-size: {font}px;"
+        f"    text {{ font-family: sans-serif; font-size: {_fmt(scale * 0.4)}px;"
         " text-anchor: middle; dominant-baseline: central; fill: black; }",
         "  </style>",
     ]
-
-    texts = []
-    edges = set()
-    fold_edges = set()
-    previous: list[int] = []
-    for cell, corners, value in zip(cells, corner_sets, row):
-        p, q, r = ranks = [rank[c] for c in corners]
-        parts.append(f'  <polygon points="{fx[p]},{fy[p]} {fx[q]},{fy[q]} {fx[r]},{fy[r]}"/>')
-        (px, py), (qx, qy), (rx, ry) = map(project, corners)
-        cx, cy = _fmt((px + qx + rx) / 3.0), _fmt((py + qy + ry) / 3.0)
-        texts.append(f'  <text x="{cx}" y="{cy}">{value}</text>')
-        current = [ranks[i] * size + ranks[j] for i, j in _EDGES[cell.orient]]
-        # consecutive cells are neighbours: the edge they share is a fold
-        for edge in current:
-            if edge in previous:
-                fold_edges.add(edge)
-        edges.update(current)
-        previous = current
-
-    for lines, cls in ((edges - fold_edges, "solid"), (fold_edges, "fold")):
-        for edge in sorted(lines):
-            i, j = divmod(edge, size)
-            parts.append(
-                f'  <line class="{cls}" x1="{fx[i]}" y1="{fy[i]}" x2="{fx[j]}" y2="{fy[j]}"/>'
-            )
-    parts.extend(texts)
+    tris = list(zip(*[iter(ranks)] * 3))  # each cell's corner ranks
+    parts += [f'  <polygon points="{pt[p]} {pt[q]} {pt[r]}"/>' for p, q, r in tris]
+    # an edge is its rank pair i < j, as i * size + j; corners() lists an up
+    # cell's corners in rank order p < r < q and a down cell's as q < p < r
+    cell_edges = [
+        (p * size + r, p * size + q, r * size + q) if p < q else (q * size + p, q * size + r, p * size + r)
+        for p, q, r in tris
+    ]
+    edges = set().union(*cell_edges)
+    # consecutive cells are neighbours: the edge they share is a fold
+    folds = {e for prev, cur in zip(cell_edges, cell_edges[1:]) for e in cur if e in prev}
+    for lines, cls in ((edges - folds, "solid"), (folds, "fold")):
+        parts += [f'  <line class="{cls}" {start[e // size]} {end[e % size]}/>' for e in sorted(lines)]
+    parts += [
+        f'  <text x="{fmt[(px[p] + px[q] + px[r]) / 3.0]}"'
+        f' y="{fmt[(py[p] + py[q] + py[r]) / 3.0]}">{value}</text>'
+        for (p, q, r), value in zip(tris, row)
+    ]
     parts.append("</svg>")
     return parts
 

@@ -233,8 +233,8 @@ def naive_render_strip(
         raise ValueError(
             f"label rows of length {len(labels.top)} do not fit {len(strip.cells)} cells"
         )
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (0 < scale < float("inf")):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
 
     corner_sets = [cell.corners() for cell in strip.cells]
     points = {c for corners in corner_sets for c in corners}
@@ -242,6 +242,8 @@ def naive_render_strip(
     ys = [b * render._SQRT3_2 for a, b in points]
     xmin, xmax = min(xs) - render._MARGIN, max(xs) + render._MARGIN
     ymin, ymax = min(ys) - render._MARGIN, max(ys) + render._MARGIN
+    if max(xmax - xmin, ymax - ymin) * scale > render.MAX_DOCUMENT_SIZE:
+        raise ValueError(f"scale {scale} gives a side over {render.MAX_DOCUMENT_SIZE:g} pixels")
 
     def project(c: tuple[int, int]) -> tuple[float, float]:
         a, b = c
@@ -250,6 +252,10 @@ def naive_render_strip(
             x = (xmin + xmax) - x
         # flip y: lattice y grows upward, SVG y grows downward
         return ((x - xmin) * scale, (ymax - b * render._SQRT3_2) * scale)
+
+    printed = {tuple(map(render._fmt, project(c))) for c in points}
+    if len(printed) < len(points):
+        raise ValueError(f"scale {scale} prints {len(points)} corners at {len(printed)} points")
 
     width = render._fmt((xmax - xmin) * scale)
     height = render._fmt((ymax - ymin) * scale)
@@ -408,6 +414,11 @@ def _suite_labeling(max_n: int) -> None:
                     fast == slow,
                     f"labeling: global/blockwise disagree for {record.signs} glue={glue}",
                 )
+                strip = geometry.lay_strip(pattern.signs, glue)
+                for side in ("front", "back"):
+                    svg = render.render_strip(strip, fast, side)
+                    same = svg == naive_render_strip(strip, fast, side)
+                    _check(same, f"labeling: {side} net != naive for {record.signs} glue={glue}")
 
 
 _SUITES: list[tuple[str, Callable[[int, bool], None]]] = [

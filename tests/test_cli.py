@@ -267,6 +267,17 @@ def test_net_rejects_oversized_scale(capsys):
     assert 'width="600000000"' in capsys.readouterr().out
 
 
+def test_net_rejects_a_scale_that_collapses_corners(capsys):
+    # at 1e-9 every corner prints as 0,0; at 5e-4 the 12 corners print as 8 points
+    for scale, message in (("1e-9", "12 distinct corners at 1 points"), ("5e-4", "at 8 points")):
+        assert run(["net", "--signs=+++", "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    assert run(["net", "--signs=+++", "--scale", "1e-3"]) == 0
+    assert 'width="0.006"' in capsys.readouterr().out
+
+
 def test_net_index_out_of_range(capsys):
     assert run(["net", "--n", "3", "--index", "5"]) == 2
     assert "out of range" in capsys.readouterr().err

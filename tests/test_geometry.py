@@ -59,6 +59,22 @@ def test_glue_adds_one_cell():
     assert len(glued.expanded_signs) == 12  # glue never enters the sign expansion
 
 
+def test_lay_strip_cells_follow_the_walk():
+    for n in range(3, 13):
+        for record in enumerate_classes(n):
+            for glue in (False, True):
+                signs = record.signs * 3 + record.signs[:1] if glue else record.signs * 3
+                expected = tuple(
+                    LatticeCell((cx - 1) // 3, (cy - 1) // 3, "up")
+                    if cx % 3 == 1
+                    else LatticeCell((cx - 2) // 3, (cy - 2) // 3, "down")
+                    for cx, cy in geometry._walk(signs)
+                )
+                cells = lay_strip(record.signs, glue=glue).cells
+                assert cells == expected
+                assert {type(cell) for cell in cells} == {LatticeCell}
+
+
 def test_lay_strip_rejects_invalid():
     with pytest.raises(ValueError):
         lay_strip((1, -1, 1, -1))

@@ -1,7 +1,9 @@
 """Static checks of the package's modules.
 
 Every name a module imports is used or re-exported, and no module has an
-assert statement: limits and invariants must survive `python -O`.
+assert statement: limits and invariants must survive `python -O`.  The
+renderer and the labels import no numpy, so the net path can one day run
+without it.
 """
 
 import ast
@@ -49,3 +51,16 @@ def test_sources_parse_at_the_python_floor():
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("name", ["render.py", "labeling.py"])
+def test_no_numpy_in_pure_python_modules(name):
+    # pure Python here is also the faster choice: a numpy render measured slower
+    tree = ast.parse((ROOT / "src" / "hexaflex" / name).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}

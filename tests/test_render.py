@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hexaflex.geometry import lay_strip
+from hexaflex.geometry import LatticeCell, TriangleStrip, lay_strip
 from hexaflex.labeling import StripLabels, build_pattern, strip_labels
 from hexaflex.render import MAX_DOCUMENT_SIZE, render_strip, render_table
 from hexaflex.sequences import enumerate_classes, extend, reduction_history
@@ -129,6 +129,69 @@ def test_render_strip_rejects_oversized_documents():
             render_strip(strip, labels, scale=scale)
 
 
+def test_render_strip_rejects_collapsed_corners():
+    strip, labels = _parts((1, 1, 1), glue=True)
+    for scale in (1e-9, 5e-4):
+        with pytest.raises(ValueError, match="12 distinct corners at [18] points"):
+            render_strip(strip, labels, scale=scale)
+    root = ET.fromstring(render_strip(strip, labels, scale=1e-3))
+    points = {p for poly in root.iter(f"{_SVG}polygon") for p in poly.get("points").split()}
+    assert len(points) == 12
+
+
+def test_oracle_rejects_what_render_strip_rejects():
+    strip, labels = _parts((1, 1, 1))
+    short = StripLabels(top=labels.top[:-1], bottom=labels.bottom[:-1])
+    root = ET.fromstring(render_strip(strip, labels, scale=1.0))
+    over_cap = MAX_DOCUMENT_SIZE / max(float(root.get(k)) for k in ("width", "height")) * (1 + 1e-9)
+    rejected = [({"side": "reverse"}, labels), ({}, short)] + [
+        ({"scale": scale}, labels)
+        for scale in (0.0, -4.0, math.nan, math.inf, -math.inf, over_cap, 1e300, 1e-9, 5e-4)
+    ]
+    for kwargs, rows in rejected:
+        with pytest.raises(ValueError):
+            render_strip(strip, rows, **kwargs)
+        with pytest.raises(ValueError):
+            naive_render_strip(strip, rows, **kwargs)
+
+
+def _shifted(strip, dx, dy):
+    cells = tuple(LatticeCell(c.x + dx, c.y + dy, c.orient) for c in strip.cells)
+    return TriangleStrip(cells=cells, expanded_signs=strip.expanded_signs)
+
+
+def _agrees_with_oracle(strip, labels, side, scale):
+    """True if both renderers draw the same document, False if both reject it."""
+    try:
+        fast = render_strip(strip, labels, side=side, scale=scale)
+    except ValueError:
+        with pytest.raises(ValueError):
+            naive_render_strip(strip, labels, side=side, scale=scale)
+        return False
+    assert fast == naive_render_strip(strip, labels, side=side, scale=scale)
+    return True
+
+
+def test_render_matches_oracle_far_from_the_origin():
+    # corner keys are a * stride + (b - bmin): exact at any size and sign of a and b
+    far = 2**40
+    offsets = [(far, far), (far, -far), (-far, far), (-far, -far), (-far, 3), (5, far - 1)]
+    drawn = {}
+    for signs in ((1, 1, 1), (1, 1, -1, -1), (1, 1, 1, 1, -1, 1, -1), (1, -1, -1, 1, 1, -1, -1, 1)):
+        pattern = build_pattern(reduction_history(signs))
+        base = lay_strip(pattern.signs, glue=True)
+        labels = strip_labels(pattern, glue=True)
+        for dx, dy in offsets:
+            strip = _shifted(base, dx, dy)
+            for side in ("front", "back"):
+                for scale in (0.001, 0.37, 40.0, 1e6):
+                    ok = _agrees_with_oracle(strip, labels, side, scale)
+                    drawn[scale] = drawn.get(scale, 0) + ok
+    # at 0.001 the 8-sign strip prints two of its corners alike; the other three draw
+    assert drawn[0.001] == 3 * len(offsets) * 2
+    assert drawn[0.37] == drawn[40.0] == drawn[1e6] == 4 * len(offsets) * 2
+
+
 def _assert_matches_oracle(signs):
     # the net as `net` draws it: strip and labels from the replayed history
     pattern = build_pattern(reduction_history(signs))
@@ -136,7 +199,7 @@ def _assert_matches_oracle(signs):
         strip = lay_strip(pattern.signs, glue=glue)
         labels = strip_labels(pattern, glue=glue)
         for side in ("front", "back"):
-            for scale in (40.0, 17.3):
+            for scale in (40.0, 17.3, 0.37, 1e6):
                 fast = render_strip(strip, labels, side=side, scale=scale)
                 slow = naive_render_strip(strip, labels, side=side, scale=scale)
                 assert fast == slow, (signs, glue, side, scale)
