@@ -157,18 +157,21 @@ def self_conjugate_count(n: int) -> int:
     """Balanced bracelets of even length n that contain their own inversion.
 
     Counts dihedral classes with n/2 ones that are fixed by swapping ones and
-    zeros.  Runs over compositions: k block-size parts interleaved with their
-    complements, grouped by the divisor l of gcd(n/2, k).
+    zeros: twice the bracelets up to inversion, less the bracelets.  By
+    Burnside's lemma that is the mean, over the dihedral group, of the
+    strings each symmetry maps to their inversion.  A rotation of order d
+    has n/d cycles and maps 2^(n/d) strings to their inversion when d is
+    even, none when d is odd; each of the n/2 reflections through edge
+    midpoints maps 2^(n/2), and those through vertices none.
     """
     n = operator.index(n)
     if n < 2 or n % 2:
         raise ValueError(f"self-conjugate classes need even n >= 2, got {n}")
-    half = n // 2
-    total = 0
-    for k in range(1, half + 1):
-        for l in _divisors(math.gcd(half, k)):
-            total += lyndon_count(n // (2 * l), k // l) * ((k + 2 * l - 1) // (2 * l))
-    return total
+    rotations = sum(totient(d) * 2 ** (n // d) for d in _divisors(n) if d % 2 == 0)
+    q, r = divmod(n * 2 ** (n // 2 - 1) + rotations, 2 * n)
+    if r:
+        raise ArithmeticError(f"self-conjugate sum at n={n} not divisible by 2n")
+    return q
 
 
 def sum_set(n: int) -> tuple[int, ...]:
@@ -193,20 +196,20 @@ def sum_set(n: int) -> tuple[int, ...]:
 def hexaflexagon_count(n: int) -> int:
     """Number of hexaflexagon equivalence classes with n top faces.
 
-    Sums bracelet counts over the positive achievable sums; for even n the
-    zero-sum layer is corrected by the self-conjugate count (inversion orbits)
-    and the unreachable alternating class is subtracted.
+    Sums the bracelets with (n + s) / 2 ones over the achievable sums s >= 0,
+    never 0 for odd n; for even n the zero-sum layer is corrected by the
+    self-conjugate count (inversion orbits) and the unreachable alternating
+    class is subtracted.
     """
     n = operator.index(n)
     if n < 3:
         raise ValueError(f"hexaflexagon_count needs n >= 3, got {n}")
+    layers = sum(bracelet_count(n, (n + s) // 2) for s in sum_set(n) if s >= 0)
     if n % 2:
-        return sum(
-            bracelet_count(n, (n + 1) // 2 + 1 + 3 * i) for i in range((n - 2) // 6 + 1)
-        )
+        return layers
     balanced = bracelet_count(n, n // 2)
     fixed = self_conjugate_count(n)
     q, r = divmod(fixed - balanced, 2)
     if r:
         raise ArithmeticError(f"inversion-orbit parity broken at n={n}")
-    return q - 1 + sum(bracelet_count(n, n // 2 + 3 * i) for i in range(n // 6 + 1))
+    return q - 1 + layers

@@ -122,23 +122,31 @@ def is_valid(s: Iterable[int]) -> bool:
 
 
 # The contraction rule of reduction_history and _histories: contract at the
-# leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Two
-# lemmas let both kernels skip the wrapped pair (a_L, a_1) and the ends.
+# leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Three
+# lemmas let both kernels skip the sum, the ends and the wrapped pair.
 #
 # Lemma B: every sum in sum_set(m) is a multiple of 3, since the bases sum to
 # +-3 and an extension moves the sum by +-3.  A sequence whose only equal pair
 # is the wrapped one alternates inside and has odd length, so it sums to +-1
 # and is invalid: once the sum passes, an inner equal pair exists.
 #
+# Lemma C: a +-1 sequence of length m has its sum s in sum_set(m) exactly
+# when 3 divides s.  Every such s has |s| <= m and the parity of m, and
+# sum_set(m) holds every multiple of 3 in [-m, m] with that parity: it steps
+# by 6 from the largest one, m, m - 4 or m - 2 as m = 0, 1 or 2 mod 3, to
+# its negative.  A contraction (a, a) -> -a moves the sum by -3a, so every
+# contraction of a valid sequence keeps an achievable sum, and its result
+# is valid exactly when it still has an equal pair.
+#
 # Lemma A: if contracting the wrapped pair (a, a) of t (L >= 4) gives a valid
 # sequence, so does an inner pair, so the wrapped pair is never the leftmost.
-# Every a-pair moves the sum to s - 3a.  An a-pair at 2 <= p <= L - 2 keeps
-# a_L = a_1 adjacent.  Else a_2 = a (so a_3 = -a) or a_{L-1} = a (so a_{L-2} =
-# -a), and contracting there leaves (-a, -a) at an end.  Else every other a
-# is isolated; take a = +1 (inversion mirrors the rest), so s <= 1.  t does
-# not alternate inside (s - 3 = -2 would break Lemma B), so it has an inner
-# (-, -) pair, which keeps a_L = a_1 adjacent and gives the sum
-# s + 3 = (s - 3) + 6 <= max sum_set(L - 1), as s - 3 < 0.
+# Like the shorter sequence, t has a sum divisible by 3, so by Lemma C an
+# inner contraction is valid when it leaves an equal pair.  An a-pair at
+# 2 <= p <= L - 2 keeps a_L = a_1 adjacent.  Else a_2 = a (so a_3 = -a) or
+# a_{L-1} = a (so a_{L-2} = -a), and contracting there leaves (-a, -a) at an
+# end.  Else every other a is isolated.  t does not alternate inside (its
+# sum would be a, and s - 3a = -2a would break Lemma B), so it has an inner
+# (-a, -a) pair, which lies in 2 <= p <= L - 2 and keeps a_L = a_1 adjacent.
 
 
 def reduction_history(s: Iterable[int]) -> list[int]:
@@ -151,30 +159,24 @@ def reduction_history(s: Iterable[int]) -> list[int]:
     from there against itself, which picks the same positions as inverting
     the whole chain.
 
-    The sequence is kept as a '+'/'-' string with its sum alongside, so a
-    validity check is a sum_set lookup plus a search for an equal pair, and
-    a rotation test is a substring search in the doubled target.
+    The sequence is kept as a '+'/'-' string, so a validity check is a
+    search for an equal pair (Lemmas B and C) and a rotation test is a
+    substring search in the doubled target.
     """
     t = _validate(s)
     if not is_valid(t):
         raise ValueError(f"{t} is not a valid sign sequence")
     cur = "".join("+" if a == 1 else "-" for a in t)
-    total = sum(t)
     chain = [cur]
     while len(cur) > 3:
-        n = len(cur)
-        sums = sum_set(n - 1)
-        for p in range(1, n):  # never the wrapped pair (Lemma A)
+        for p in range(1, len(cur)):  # never the wrapped pair (Lemma A)
             a = cur[p - 1]
             if a != cur[p]:
                 continue
-            # the pair (a, a) becomes one -a: the sum moves by -3a
-            shorter_total = total - 3 if a == "+" else total + 3
-            if shorter_total not in sums:
-                continue
+            # the pair (a, a) becomes one -a, with an achievable sum (Lemma C)
             shorter = cur[: p - 1] + ("-" if a == "+" else "+") + cur[p + 1 :]
             if "++" in shorter or "--" in shorter:  # the ends need no test (Lemma B)
-                cur, total = shorter, shorter_total
+                cur = shorter
                 break
         else:
             raise AssertionError(f"no valid contraction found for {cur}")
@@ -361,21 +363,11 @@ def _contract(x: np.ndarray, length: int) -> np.ndarray:
     full = np.uint64((1 << length) - 1)
     # bit j: positions L - j and L - j + 1 (cyclically) hold equal signs
     equal = ~(x ^ _rotl(x, length)) & full
-    # contracting a pair (a, a) moves the sum 2k - L of a mask with k ones by -3a
-    sums = sum_set(length - 1)
-    plus, minus = (
-        np.array(
-            [full if 2 * k - length - 3 * a in sums else 0 for k in range(length + 1)],
-            dtype=np.uint64,
-        )
-        for a in (1, -1)
-    )
-    ones = np.bitwise_count(x)
-    valid = equal & ((x & plus[ones]) | (~x & minus[ones]))
-    # the shorter sequence has an equal pair unless the equal pairs are
-    # exactly three consecutive ones and the middle one is contracted
+    # a sum that is a multiple of 3 stays one, so it stays achievable (Lemma C):
+    # the shorter sequence is valid unless it has no equal pair, when the equal
+    # pairs are exactly three consecutive ones and the middle one is contracted
     middle = equal & _rotl(equal, length) & _rotl(equal, length, length - 1)
-    valid &= ~np.where(np.bitwise_count(equal) == 3, middle, np.uint64(0))
+    valid = equal & ~np.where(np.bitwise_count(equal) == 3, middle, np.uint64(0))
     if not valid.all():
         raise ValueError(f"no valid contraction of a length-{length} mask")
     top = valid.copy()
@@ -399,6 +391,9 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
     one = np.uint64(1)
     chain = [np.asarray(masks, dtype=np.uint64)]
+    # contractions move a sum by 3, so one check here covers every length (Lemma C)
+    if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
+        raise ValueError(f"a length-{n} mask has a sum that is not a multiple of 3")
     for length in range(n, 3, -1):
         chain.append(_contract(chain[-1], length))
     cur = chain.pop()

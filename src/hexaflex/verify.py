@@ -388,8 +388,8 @@ def _suite_lemma(max_n: int) -> None:
 
 def _suite_labeling(max_n: int) -> None:
     tri = labeling.strip_labels(labeling.build_pattern([]))
-    _check(tri.top == (1, 1, 3, 3, 2, 2, 1, 1, 3), f"labeling: trihexa top row {tri.top}")
-    _check(tri.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2), f"labeling: trihexa bottom row {tri.bottom}")
+    _check(tri.top == (1, 1, 3, 3, 2, 2, 1, 1, 3), f"trihexa top row {tri.top}")
+    _check(tri.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2), f"trihexa bottom row {tri.bottom}")
     for n in range(3, min(max_n, 12) + 1):
         masks = sequences.canonical_masks(n)
         steps = sequences._histories(masks, n)
@@ -399,26 +399,26 @@ def _suite_labeling(max_n: int) -> None:
             naive = naive_reduction_history(record.signs)
             _check(
                 history == naive == batch_history,
-                f"labeling: history {history}, batch {batch_history} != naive {naive}"
+                f"history {history}, batch {batch_history} != naive {naive}"
                 f" for {record.signs}",
             )
             pattern = labeling.build_pattern(history)
             _check(
                 list(pattern.labels) == batch_labels,
-                f"labeling: batch labels {batch_labels} != {pattern.labels} for {record.signs}",
+                f"batch labels {batch_labels} != {pattern.labels} for {record.signs}",
             )
             for glue in (False, True):
                 fast = labeling.strip_labels(pattern, glue)
                 slow = blockwise_strip_labels(pattern, glue)
                 _check(
                     fast == slow,
-                    f"labeling: global/blockwise disagree for {record.signs} glue={glue}",
+                    f"global/blockwise disagree for {record.signs} glue={glue}",
                 )
                 strip = geometry.lay_strip(pattern.signs, glue)
                 for side in ("front", "back"):
                     svg = render.render_strip(strip, fast, side)
                     same = svg == naive_render_strip(strip, fast, side)
-                    _check(same, f"labeling: {side} net != naive for {record.signs} glue={glue}")
+                    _check(same, f"{side} net != naive for {record.signs} glue={glue}")
 
 
 _SUITES: list[tuple[str, Callable[[int, bool], None]]] = [

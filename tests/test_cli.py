@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hexaflex import cli, counting, geometry, labeling, sequences
+from hexaflex import cli, counting, geometry, labeling, sequences, verify
 from hexaflex.cli import run
 from hexaflex.counting import hexaflexagon_count
 from hexaflex.sequences import enumerate_classes
@@ -312,6 +312,14 @@ def test_verify_paper_bracelet_fails(capsys):
     assert "FAIL bracelet" in out
     assert "B(4,2)" in out
     assert "3/2" in out
+
+
+def test_verify_names_a_failing_suite_once(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "naive_render_strip", lambda strip, labels, side: "<svg/>")
+    assert run(["verify", "--max-n", "3"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and fails[0].startswith("FAIL labeling: ")
+    assert "labeling" not in fails[0][len("FAIL labeling: ") :]
 
 
 def test_usage_errors_exit_2():

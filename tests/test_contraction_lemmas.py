@@ -1,8 +1,9 @@
-"""The two lemmas that keep the contraction kernels off the wrapped pair.
+"""The three lemmas that keep the contraction kernels off the wrapped pair and the sum.
 
-The lemmas and their proofs sit above sequences.reduction_history.  Lemma A
-is checked here from the definition of validity, reachability by extension
-moves from '+++' or its inversion '---', with no code of the package.
+The lemmas and their proofs sit above sequences.reduction_history.  Lemmas A
+and C are checked here from the definition of validity, reachability by
+extension moves from '+++' or its inversion '---', with no code of the
+package; Lemma C also against the closed form of counting.sum_set.
 """
 
 from functools import lru_cache
@@ -49,3 +50,19 @@ def test_valid_sums_are_multiples_of_three_with_an_inner_pair():
 def test_sum_set_holds_only_multiples_of_three():
     for m in range(3, 301):
         assert all(v % 3 == 0 for v in sum_set(m)), m
+
+
+def test_reachable_strings_are_those_with_an_equal_pair_and_a_sum_of_threes():
+    # Lemma C from the definition: validity is an equal cyclic pair plus 3 | sum
+    reachable = _reachable(15)
+    for length in range(4, 16):
+        for bits in range(1 << length):
+            t = format(bits, f"0{length}b").replace("1", "+").replace("0", "-")
+            paired = "++" in t or "--" in t or t[-1] == t[0]
+            threes = (t.count("+") - t.count("-")) % 3 == 0
+            assert (t in reachable) == (paired and threes), t
+
+
+def test_sum_set_is_every_multiple_of_three_with_the_parity_of_m():
+    for m in range(3, 301):
+        assert sum_set(m) == tuple(v for v in range(-m, m + 1) if v % 3 == 0 and (v - m) % 2 == 0)

@@ -109,6 +109,23 @@ def test_self_conjugate_examples():
         self_conjugate_count(5)
 
 
+def _composition_self_conjugate_count(n):
+    # the composition form: k block-size parts interleaved with their
+    # complements, grouped by the divisor l of gcd(n/2, k)
+    half = n // 2
+    total = 0
+    for k in range(1, half + 1):
+        g = math.gcd(half, k)
+        for l in (d for d in range(1, g + 1) if g % d == 0):
+            total += lyndon_count(n // (2 * l), k // l) * ((k + 2 * l - 1) // (2 * l))
+    return total
+
+
+def test_self_conjugate_burnside_matches_composition_form():
+    for n in range(2, 201, 2):
+        assert self_conjugate_count(n) == _composition_self_conjugate_count(n), n
+
+
 def test_sum_set_branches():
     assert sum_set(3) == (-3, 3)
     assert sum_set(4) == (0,)
