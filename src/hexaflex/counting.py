@@ -1,9 +1,9 @@
 """Closed-form counting of binary necklaces, bracelets, and hexaflexagon classes.
 
 Everything here is exact integer arithmetic.  Divisor sums over the cyclic
-and dihedral group actions give necklace / bracelet / Lyndon counts; the
-hexaflexagon count combines bracelet counts over the achievable sums with a
-correction for zero-sum classes fixed by sign inversion.
+and dihedral group actions give necklace / bracelet / Lyndon counts; as an
+achievable sum is any multiple of 3 (Lemma C), the hexaflexagon count is one
+such sum over sign strings, corrected for classes fixed by sign inversion.
 """
 
 from __future__ import annotations
@@ -196,20 +196,27 @@ def sum_set(n: int) -> tuple[int, ...]:
 def hexaflexagon_count(n: int) -> int:
     """Number of hexaflexagon equivalence classes with n top faces.
 
-    Sums the bracelets with (n + s) / 2 ones over the achievable sums s >= 0,
-    never 0 for odd n; for even n the zero-sum layer is corrected by the
-    self-conjugate count (inversion orbits) and the unreachable alternating
-    class is subtracted.
+    By Lemma C the paper's bracelets over every achievable sum are the T(n)
+    bracelets of n signs whose sum 3 divides.  Inversion pairs all but the
+    F(n) = self_conjugate_count(n), and even n loses the alternating class,
+    so H(n) = (T(n) + F(n)) / 2 - [n even].  In T(n)'s Burnside sum a rotation
+    with c cycles fixes 2^c strings if 3 | n/c, else t(c) = (2^c + 2(-1)^c) / 3.
     """
     n = operator.index(n)
     if n < 3:
         raise ValueError(f"hexaflexagon_count needs n >= 3, got {n}")
-    layers = sum(bracelet_count(n, (n + s) // 2) for s in sum_set(n) if s >= 0)
+
+    def t3(c: int) -> int:  # 3 t(c); a swapped pair is one sign as 2 = -1 (mod 3)
+        return 2**c + 2 * (-1) ** c
+
+    rotations = sum(totient(n // c) * (t3(c) if n // c % 3 else 3 * 2**c) for c in _divisors(n))
     if n % 2:
-        return layers
-    balanced = bracelet_count(n, n // 2)
-    fixed = self_conjugate_count(n)
-    q, r = divmod(fixed - balanced, 2)
+        reflections, conjugate = n * t3((n + 1) // 2), 0
+    else:
+        reflections = n // 2 * (t3(n // 2 + 1) + t3(n // 2))
+        conjugate = self_conjugate_count(n)
+    # rotations + reflections is 3 * 2n * T(n); inversion pairs halve T(n) + F(n)
+    q, r = divmod(rotations + reflections + 6 * n * conjugate, 12 * n)
     if r:
-        raise ArithmeticError(f"inversion-orbit parity broken at n={n}")
-    return q - 1 + layers
+        raise ArithmeticError(f"Burnside sum at n={n} not divisible by 12n")
+    return q - (n % 2 == 0)

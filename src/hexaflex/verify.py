@@ -11,7 +11,7 @@ paths honest.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from typing import Callable, Iterable
 
@@ -421,19 +421,16 @@ def _suite_labeling(max_n: int) -> None:
                     _check(same, f"{side} net != naive for {record.signs} glue={glue}")
 
 
-_SUITES: list[tuple[str, Callable[[int, bool], None]]] = [
-    ("necklace", lambda max_n, pb: _suite_formula(
-        "N", counting.necklace_count, brute_necklace_count, max_n)),
-    ("bracelet", lambda max_n, pb: _suite_paper_bracelet(max_n) if pb else _suite_formula(
-        "B", counting.bracelet_count, brute_bracelet_count, max_n)),
-    ("lyndon", lambda max_n, pb: _suite_formula(
-        "L", counting.lyndon_count, brute_lyndon_count, max_n)),
-    ("self-conjugate", lambda max_n, pb: _suite_self_conjugate(max_n)),
-    ("class-count", lambda max_n, pb: _suite_class_count(max_n)),
-    ("printable", lambda max_n, pb: _suite_printable(max_n)),
-    ("lemma", lambda max_n, pb: _suite_lemma(max_n)),
-    ("labeling", lambda max_n, pb: _suite_labeling(max_n)),
-]
+_SUITES: dict[str, Callable[[int], None]] = {
+    "necklace": partial(_suite_formula, "N", counting.necklace_count, brute_necklace_count),
+    "bracelet": partial(_suite_formula, "B", counting.bracelet_count, brute_bracelet_count),
+    "lyndon": partial(_suite_formula, "L", counting.lyndon_count, brute_lyndon_count),
+    "self-conjugate": _suite_self_conjugate,
+    "class-count": _suite_class_count,
+    "printable": _suite_printable,
+    "lemma": _suite_lemma,
+    "labeling": _suite_labeling,
+}
 
 
 def run_suites(max_n: int, paper_bracelet: bool = False) -> bool:
@@ -441,9 +438,10 @@ def run_suites(max_n: int, paper_bracelet: bool = False) -> bool:
     if max_n < 3:
         raise ValueError(f"verify needs --max-n >= 3, got {max_n}")
     all_ok = True
-    for name, runner in _SUITES:
+    suites = {**_SUITES, "bracelet": _suite_paper_bracelet} if paper_bracelet else _SUITES
+    for name, runner in suites.items():
         try:
-            runner(max_n, paper_bracelet)
+            runner(max_n)
         except SuiteFailure as failure:
             print(f"FAIL {name}: {failure}")
             all_ok = False

@@ -47,11 +47,6 @@ def test_valid_sums_are_multiples_of_three_with_an_inner_pair():
         assert "++" in u or "--" in u, u
 
 
-def test_sum_set_holds_only_multiples_of_three():
-    for m in range(3, 301):
-        assert all(v % 3 == 0 for v in sum_set(m)), m
-
-
 def test_reachable_strings_are_those_with_an_equal_pair_and_a_sum_of_threes():
     # Lemma C from the definition: validity is an equal cyclic pair plus 3 | sum
     reachable = _reachable(15)

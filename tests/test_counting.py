@@ -146,6 +146,24 @@ def test_sum_set_structure():
         assert all((v - n) % 2 == 0 for v in values)  # parity of +/-1 sums
 
 
+def _layered_hexaflexagon_count(n):
+    # the paper's form: bracelets with (n + s) / 2 ones over the achievable
+    # sums s >= 0; the zero-sum layer of even n is corrected by the
+    # self-conjugate count and loses the unreachable alternating class
+    layers = sum(bracelet_count(n, (n + s) // 2) for s in sum_set(n) if s >= 0)
+    if n % 2:
+        return layers
+    balanced = bracelet_count(n, n // 2)
+    q, r = divmod(self_conjugate_count(n) - balanced, 2)
+    assert r == 0, n
+    return q - 1 + layers
+
+
+def test_burnside_count_matches_layered_form():
+    for n in range(3, 401):
+        assert hexaflexagon_count(n) == _layered_hexaflexagon_count(n), n
+
+
 def test_hexaflexagon_count_table():
     for n, (h, _) in KNOWN_COUNTS.items():
         assert hexaflexagon_count(n) == h
