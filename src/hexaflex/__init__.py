@@ -8,7 +8,6 @@ from .counting import (
     moebius,
     necklace_count,
     self_conjugate_count,
-    sum_set,
     totient,
 )
 from .geometry import (
@@ -64,6 +63,5 @@ __all__ = [
     "reverse",
     "self_conjugate_count",
     "strip_labels",
-    "sum_set",
     "totient",
 ]

@@ -24,31 +24,13 @@ INVALID_SIGNS = 3
 def _parse_signs(text: str) -> tuple[int, ...]:
     if "," in text:
         try:
-            entries = tuple(int(part.strip()) for part in text.split(","))
+            return tuple(int(part.strip()) for part in text.split(","))
         except ValueError:
             raise ValueError(f"cannot parse {text!r} as comma-separated signs")
-    else:
-        table = {"+": 1, "-": -1}
-        if not text or any(ch not in table for ch in text):
-            raise ValueError(f"cannot parse {text!r}: expected '+'/'-' characters")
-        entries = tuple(table[ch] for ch in text)
-    if len(entries) < 3 or any(a not in (1, -1) for a in entries):
-        raise ValueError(f"{text!r} is not a sign sequence of length >= 3 over +1/-1")
-    return entries
-
-
-def _explain_invalid(signs: tuple[int, ...]) -> str:
-    n = len(signs)
-    if all(signs[j] != signs[(j + 1) % n] for j in range(n)):
-        return (
-            "signs alternate, so no two adjacent triangles fold together; "
-            "a foldable sequence needs at least one equal adjacent pair"
-        )
-    achievable = counting.sum_set(n)
-    return (
-        f"entry sum {sum(signs)} is not reachable by extension moves from (1,1,1); "
-        f"achievable sums at length {n} are {list(achievable)}"
-    )
+    table = {"+": 1, "-": -1}
+    if not text or any(ch not in table for ch in text):
+        raise ValueError(f"cannot parse {text!r}: expected '+'/'-' characters")
+    return tuple(table[ch] for ch in text)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -102,8 +84,9 @@ def cmd_net(args: argparse.Namespace) -> int:
         if not 0 <= index < len(masks):
             raise ValueError(f"--index {index} out of range: n={args.n} has {len(masks)} classes")
         signs = sequences.signs_from_mask(int(masks[index]), args.n)
-    if not sequences.is_valid(signs):
-        sys.stderr.write(f"invalid sign sequence: {_explain_invalid(signs)}\n")
+    reason = sequences.invalid_reason(signs)
+    if reason is not None:
+        sys.stderr.write(f"invalid sign sequence: {reason}\n")
         return INVALID_SIGNS
     pattern = labeling.build_pattern(sequences.reduction_history(signs))
     strip = geometry.lay_strip(pattern.signs, glue=args.glue)

@@ -20,7 +20,6 @@ __all__ = [
     "bracelet_count",
     "lyndon_count",
     "self_conjugate_count",
-    "sum_set",
     "hexaflexagon_count",
 ]
 
@@ -172,25 +171,6 @@ def self_conjugate_count(n: int) -> int:
     if r:
         raise ArithmeticError(f"self-conjugate sum at n={n} not divisible by 2n")
     return q
-
-
-def sum_set(n: int) -> tuple[int, ...]:
-    """Achievable entry sums for valid sign sequences of length n, ascending.
-
-    A step-6 progression whose bounds depend on n mod 3:
-    -n..n for n % 3 == 0, (-n+4)..(n-4) for n % 3 == 1, (-n+2)..(n-2) otherwise.
-    """
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"sum_set needs n >= 3, got {n}")
-    r = n % 3
-    if r == 0:
-        lo, hi = -n, n
-    elif r == 1:
-        lo, hi = -n + 4, n - 4
-    else:
-        lo, hi = -n + 2, n - 2
-    return tuple(range(lo, hi + 1, 6))
 
 
 def hexaflexagon_count(n: int) -> int:

@@ -94,9 +94,7 @@ def _walk(signs: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def lay_strip(s: Iterable[int], glue: bool = False) -> TriangleStrip:
     """Lay the 3n strip triangles (plus one glue triangle) on the lattice."""
-    t = sequences._validate(s)
-    if not sequences.is_valid(t):
-        raise ValueError(f"{t} is not a valid sign sequence")
+    t = sequences._require_valid(s)
     expanded = t * 3  # one sign per strip triangle
     walk_signs = expanded + (t[0],) if glue else expanded
     centers = _walk(walk_signs)
@@ -110,9 +108,7 @@ def is_printable(s: Iterable[int]) -> bool:
     Only cyclic shifts need checking: inversion lays the identical cells and
     reversal a congruent strip (see module docstring).
     """
-    t = sequences._validate(s)
-    if not sequences.is_valid(t):
-        raise ValueError(f"{t} is not a valid sign sequence")
+    t = sequences._require_valid(s)
     n = len(t)
     for r in range(n):
         u = t[r:] + t[:r]

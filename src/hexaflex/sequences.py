@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .counting import sum_set
-
 __all__ = [
     "ClassRecord",
     "DEFAULT_ENUMERATION_LIMIT",
@@ -30,6 +28,7 @@ __all__ = [
     "class_rows",
     "extend",
     "reduce",
+    "invalid_reason",
     "is_valid",
     "reduction_history",
     "enumerate_classes",
@@ -112,31 +111,52 @@ def reduce(s: Iterable[int], i: int) -> SignSequence:
     return (-t[n - 1],) + t[1 : n - 1]
 
 
-def is_valid(s: Iterable[int]) -> bool:
-    """True iff s has an equal cyclically-adjacent pair and its sum is achievable."""
+def invalid_reason(s: Iterable[int]) -> Optional[str]:
+    """Why extension moves cannot reach s from (1, 1, 1) or (-1, -1, -1), or None.
+
+    By Lemma C below, s is valid exactly when it has an equal cyclically-adjacent
+    pair and 3 divides its sum.
+    """
     t = _validate(s)
-    n = len(t)
-    if all(t[j] != t[(j + 1) % n] for j in range(n)):
-        return False
-    return sum(t) in sum_set(n)
+    if all(a != b for a, b in zip(t, t[1:] + t[:1])):
+        return (
+            "signs alternate, so no two adjacent triangles fold together; "
+            "a foldable sequence needs at least one equal adjacent pair"
+        )
+    if sum(t) % 3:
+        return f"entry sum {sum(t)} is not a multiple of 3, so extension moves cannot reach it"
+    return None
+
+
+def is_valid(s: Iterable[int]) -> bool:
+    """True iff extension moves reach s from (1, 1, 1) or (-1, -1, -1)."""
+    return invalid_reason(s) is None
+
+
+def _require_valid(s: Iterable[int]) -> SignSequence:
+    """s as a tuple; the one ValueError of every caller that needs a valid s."""
+    t = _validate(s)
+    if not is_valid(t):
+        raise ValueError(f"{t} is not a valid sign sequence")
+    return t
 
 
 # The contraction rule of reduction_history and _histories: contract at the
 # leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Three
 # lemmas let both kernels skip the sum, the ends and the wrapped pair.
 #
-# Lemma B: every sum in sum_set(m) is a multiple of 3, since the bases sum to
-# +-3 and an extension moves the sum by +-3.  A sequence whose only equal pair
-# is the wrapped one alternates inside and has odd length, so it sums to +-1
-# and is invalid: once the sum passes, an inner equal pair exists.
+# Lemma B: every valid sum is a multiple of 3, since the bases sum to +-3 and
+# an extension moves the sum by +-3.  A sequence whose only equal pair is the
+# wrapped one alternates inside and has odd length, so it sums to +-1 and is
+# invalid: once the sum passes, an inner equal pair exists.
 #
-# Lemma C: a +-1 sequence of length m has its sum s in sum_set(m) exactly
-# when 3 divides s.  Every such s has |s| <= m and the parity of m, and
-# sum_set(m) holds every multiple of 3 in [-m, m] with that parity: it steps
-# by 6 from the largest one, m, m - 4 or m - 2 as m = 0, 1 or 2 mod 3, to
-# its negative.  A contraction (a, a) -> -a moves the sum by -3a, so every
-# contraction of a valid sequence keeps an achievable sum, and its result
-# is valid exactly when it still has an equal pair.
+# Lemma C: the paper's table of achievable sums at length m steps by 6 from
+# m, m - 4 or m - 2 (as m = 0, 1 or 2 mod 3) down to its negative: every
+# multiple of 3 in [-m, m] with the parity of m.  Each sum s of m signs has
+# |s| <= m and that parity, so a +-1 sequence is valid exactly when it has
+# an equal pair and 3 divides s.  A contraction (a, a) -> -a moves the sum by
+# -3a, so every contraction of a valid sequence keeps a sum that 3 divides,
+# and its result is valid exactly when it still has an equal pair.
 #
 # Lemma A: if contracting the wrapped pair (a, a) of t (L >= 4) gives a valid
 # sequence, so does an inner pair, so the wrapped pair is never the leftmost.
@@ -163,10 +183,7 @@ def reduction_history(s: Iterable[int]) -> list[int]:
     search for an equal pair (Lemmas B and C) and a rotation test is a
     substring search in the doubled target.
     """
-    t = _validate(s)
-    if not is_valid(t):
-        raise ValueError(f"{t} is not a valid sign sequence")
-    cur = "".join("+" if a == 1 else "-" for a in t)
+    cur = "".join("+" if a == 1 else "-" for a in _require_valid(s))
     chain = [cur]
     while len(cur) > 3:
         for p in range(1, len(cur)):  # never the wrapped pair (Lemma A)

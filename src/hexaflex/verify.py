@@ -434,7 +434,11 @@ _SUITES: dict[str, Callable[[int], None]] = {
 
 
 def run_suites(max_n: int, paper_bracelet: bool = False) -> bool:
-    """Run every suite up to max_n; print one line per suite; True iff all pass."""
+    """Run every suite up to max_n; print one line per suite; True iff all pass.
+
+    A suite that raises fails with the exception's type and message, and the
+    remaining suites still run.
+    """
     if max_n < 3:
         raise ValueError(f"verify needs --max-n >= 3, got {max_n}")
     all_ok = True
@@ -442,8 +446,9 @@ def run_suites(max_n: int, paper_bracelet: bool = False) -> bool:
     for name, runner in suites.items():
         try:
             runner(max_n)
-        except SuiteFailure as failure:
-            print(f"FAIL {name}: {failure}")
+        except Exception as error:  # a crashing fast path is a mismatch, not a usage error
+            kind = "" if isinstance(error, SuiteFailure) else f"{type(error).__name__}: "
+            print(f"FAIL {name}: {kind}{error}")
             all_ok = False
         else:
             print(f"PASS {name}")

@@ -1,4 +1,4 @@
-"""Known class counts used as regression anchors: n -> (H, Hp)."""
+"""Known class counts used as regression anchors: n -> (H, Hp), and the paper's sum table."""
 
 KNOWN_COUNTS = {
     3: (1, 1),
@@ -26,3 +26,15 @@ KNOWN_COUNTS = {
     25: (112531, 19098),
     26: (217245, 34891),
 }
+
+
+def paper_sum_set(n):
+    """The paper's achievable entry sums at length n, ascending.
+
+    A step-6 progression whose bounds depend on n mod 3:
+    -n..n for n % 3 == 0, (-n+4)..(n-4) for n % 3 == 1, (-n+2)..(n-2) otherwise.
+    """
+    if n < 3:
+        raise ValueError(f"sum table needs n >= 3, got {n}")
+    bound = (n, n - 4, n - 2)[n % 3]
+    return tuple(range(-bound, bound + 1, 6))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -239,9 +240,15 @@ def test_net_no_glue_polygon_count(capsys):
 
 def test_net_invalid_sequences(capsys):
     assert run(["net", "--signs", "+-+-"]) == 3
-    assert "alternate" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid sign sequence: signs alternate, so no two adjacent triangles fold together;"
+        " a foldable sequence needs at least one equal adjacent pair\n"
+    )
     assert run(["net", "--signs", "+++-"]) == 3
-    assert "sum" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid sign sequence: entry sum 2 is not a multiple of 3,"
+        " so extension moves cannot reach it\n"
+    )
 
 
 def test_net_parse_errors(capsys):
@@ -326,6 +333,42 @@ def test_verify_names_a_failing_suite_once(capsys, monkeypatch):
     assert "labeling" not in fails[0][len("FAIL labeling: ") :]
 
 
+def test_verify_reports_a_crashing_suite_and_runs_the_rest(capsys, monkeypatch):
+    bulk = geometry.bulk_printable
+
+    def faulty(masks, n):
+        if n == 7:
+            raise ValueError("simulated kernel fault")
+        return bulk(masks, n)
+
+    monkeypatch.setattr(geometry, "bulk_printable", faulty)
+    assert run(["verify", "--max-n", "8"]) == 1
+    captured = capsys.readouterr()
+    fault = "ValueError: simulated kernel fault"
+    assert captured.out.splitlines() == [
+        "PASS necklace",
+        "PASS bracelet",
+        "PASS lyndon",
+        "PASS self-conjugate",
+        f"FAIL class-count: {fault}",
+        f"FAIL printable: {fault}",
+        "PASS lemma",
+        f"FAIL labeling: {fault}",
+    ]
+    assert captured.err == ""
+
+
+def test_verify_reports_any_exception_type(capsys, monkeypatch):
+    def faulty(masks, n):
+        raise IndexError("simulated history fault")
+
+    monkeypatch.setattr(sequences, "_histories", faulty)
+    assert run(["verify", "--max-n", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL labeling: IndexError: simulated history fault"
+    assert lines[:-1] == [f"PASS {name}" for name in list(verify._SUITES)[:-1]]
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run([])
@@ -387,3 +430,18 @@ def test_net_index_only_with_n(capsys):
     default = capsys.readouterr().out
     assert run(["net", "--n", "6", "--index", "0", "--side", "back"]) == 0
     assert capsys.readouterr().out == default
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # each "$ hexaflex ..." block of README.md; a block ending in "..." is a prefix
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n\$ hexaflex (.*?)```", readme, re.S)
+    assert [block.split()[0] for block in blocks] == ["count", "table", "enumerate", "verify"]
+    for block in blocks:
+        command, _, expected = block.partition("\n")
+        assert run(command.split()) == 0
+        out = capsys.readouterr().out
+        if expected.endswith("...\n"):
+            assert out.startswith(expected[: -len("...\n")]), command
+        else:
+            assert out == expected, command

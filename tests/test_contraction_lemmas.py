@@ -3,12 +3,16 @@
 The lemmas and their proofs sit above sequences.reduction_history.  Lemmas A
 and C are checked here from the definition of validity, reachability by
 extension moves from '+++' or its inversion '---', with no code of the
-package; Lemma C also against the closed form of counting.sum_set.
+package; Lemma C also against the paper's table of achievable sums.
+sequences.invalid_reason, the package's one validity rule, is checked
+against the same reachability.
 """
 
 from functools import lru_cache
 
-from hexaflex.counting import sum_set
+from hexaflex.sequences import invalid_reason
+
+from reference_table import paper_sum_set
 
 _FLIP = {"+": "-", "-": "+"}
 
@@ -60,4 +64,14 @@ def test_reachable_strings_are_those_with_an_equal_pair_and_a_sum_of_threes():
 
 def test_sum_set_is_every_multiple_of_three_with_the_parity_of_m():
     for m in range(3, 301):
-        assert sum_set(m) == tuple(v for v in range(-m, m + 1) if v % 3 == 0 and (v - m) % 2 == 0)
+        threes = tuple(v for v in range(-m, m + 1) if v % 3 == 0 and (v - m) % 2 == 0)
+        assert paper_sum_set(m) == threes
+
+
+def test_invalid_reason_is_none_exactly_for_the_reachable_strings():
+    reachable = _reachable(12)
+    for length in range(3, 13):
+        for bits in range(1 << length):
+            t = format(bits, f"0{length}b").replace("1", "+").replace("0", "-")
+            signs = tuple(1 if c == "+" else -1 for c in t)
+            assert (invalid_reason(signs) is None) == (t in reachable), t

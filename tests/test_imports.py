@@ -2,8 +2,8 @@
 
 Every name a module imports is used or re-exported, and no module has an
 assert statement: limits and invariants must survive `python -O`.  The
-renderer and the labels import no numpy, so the net path can one day run
-without it.
+renderer, the labels and the closed forms import no numpy, so the net path
+and the closed-form counts can one day run without it.
 """
 
 import ast
@@ -53,9 +53,10 @@ def test_no_assert_statements(path):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-@pytest.mark.parametrize("name", ["render.py", "labeling.py"])
+@pytest.mark.parametrize("name", ["render.py", "labeling.py", "counting.py"])
 def test_no_numpy_in_pure_python_modules(name):
-    # pure Python here is also the faster choice: a numpy render measured slower
+    # pure Python here is also the faster choice: a numpy render measured slower;
+    # the closed forms are exact Python ints and must not import numpy either
     tree = ast.parse((ROOT / "src" / "hexaflex" / name).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):

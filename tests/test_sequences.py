@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexaflex import geometry, sequences
-from hexaflex.counting import hexaflexagon_count, sum_set
+from hexaflex.counting import hexaflexagon_count
 from hexaflex.labeling import build_pattern
 from hexaflex.sequences import (
     canonical_masks,
@@ -25,6 +25,8 @@ from hexaflex.sequences import (
     signs_from_mask,
 )
 from hexaflex.verify import naive_classes, naive_reduction_history, reachable_classes
+
+from reference_table import paper_sum_set
 
 
 @st.composite
@@ -122,7 +124,7 @@ def test_sum_set_achievability():
             for signs in product((1, -1), repeat=n)
             if is_valid(signs)
         }
-        assert achieved == set(sum_set(n))
+        assert achieved == set(paper_sum_set(n))
 
 
 def test_reduction_history_examples():
@@ -151,6 +153,17 @@ def test_reduction_history_errors_match_naive(signs):
     with pytest.raises(ValueError) as naive:
         naive_reduction_history(signs)
     assert str(fast.value) == str(naive.value)
+
+
+@pytest.mark.parametrize(
+    "caller", [reduction_history, geometry.lay_strip, geometry.is_printable],
+    ids=lambda caller: caller.__name__,
+)
+@pytest.mark.parametrize("signs", [(1, -1, 1, -1), (1, 1, 1, -1)], ids=["alternating", "sum-2"])
+def test_invalid_sequences_share_one_gate(caller, signs):
+    with pytest.raises(ValueError) as error:
+        caller(signs)
+    assert str(error.value) == f"{signs} is not a valid sign sequence"
 
 
 def test_reduction_history_matches_naive_every_class():
@@ -243,7 +256,7 @@ def test_batch_histories_reject_invalid_masks_and_sizes():
     with pytest.raises(ValueError):
         sequences._histories(np.array([0b1010], dtype=np.uint64), 4)  # alternating
     with pytest.raises(ValueError):
-        sequences._histories(np.array([0b1111], dtype=np.uint64), 4)  # sum 4 not in sum_set(4)
+        sequences._histories(np.array([0b1111], dtype=np.uint64), 4)  # sum 4 is not a multiple of 3
     for n in (2, sequences.MAX_N + 1):
         with pytest.raises(ValueError):
             sequences._histories(np.array([0], dtype=np.uint64), n)
