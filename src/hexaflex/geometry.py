@@ -13,7 +13,8 @@ exit side, turning the strip by 60 degrees.  A class is printable when at
 least one orbit representative lays all 3n cells on distinct positions.
 Inversion never changes the laid cells (the walk only looks at sign
 equality) and reversal lays a congruent strip, so the orbit quantifier
-reduces to the n cyclic shifts.
+reduces to the n cyclic shifts.  Most classes never reach the walk: by
+Lemma D below, five alternating signs in a row make a class unprintable.
 """
 
 from __future__ import annotations
@@ -125,6 +126,17 @@ _STEP = [(x << _COORD_BITS + _INDEX_BITS) + (y << _INDEX_BITS) + 1 for x, y in z
 _MOVES = np.array([_STEP[t] << 4 | t for t in _NEXT], dtype=np.int32)
 
 
+# Lemma D: a sequence with five cyclically consecutive alternating signs (four unequal
+# neighbour pairs in a row) is not printable.  In _walk, move j (cell j - 1 to cell j)
+# turns direction a by the current side, and the side flips only when signs j - 2 and
+# j - 1 are equal.  Let signs i..i + 4 alternate, with i >= 1.  The pairs (i, i + 1) to
+# (i + 3, i + 4) are unequal, so moves i + 1..i + 5 keep one side s, and moves i..i + 5
+# head in directions a, a + s, ..., a + 5s: once round a lattice vertex.  _DX and _DY
+# each sum to 0, so cell i + 5 is cell i - 1.  The strip's signs repeat with period n,
+# so a window of 3n path cells from cell r has such a run at some i in r + 1..r + n, and
+# i + 5 <= r + n + 5 <= r + 3n - 1 for n >= 3: every shift repeats a cell.
+
+
 def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     """Printability flags for an array of sign bitmasks, vectorized.
 
@@ -133,16 +145,23 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     the index where cell p < n next recurs.  Cells p + n and q + n meet iff cells
     p and q do (the same signs lay them, turned or mirrored), so window r repeats
     a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
+    Rows with five alternating signs in a row are unprintable by Lemma D and
+    skip the walk.
     """
     sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
-    out = np.empty(len(masks), dtype=bool)
+    out = np.zeros(len(masks), dtype=bool)  # the rows Lemma D decides stay False
     chunk = max(1, sequences._BLOCK_BYTES // (path_len * 4))  # int32 (rows, path) keys
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
     for start in range(0, len(masks), chunk):
         block = np.asarray(masks[start : start + chunk], dtype=np.uint64)
+        unequal = block ^ sequences._rotl(block, n)  # bit set: an unequal neighbour pair
+        unequal &= sequences._rotl(unequal, n)
+        walked = np.flatnonzero((unequal & sequences._rotl(unequal, n, 2)) == 0)
+        del unequal
+        block = block[walked]
         rows = len(block)
         signs = (block >> shifts) & np.uint64(1)  # (n, rows): row k holds sign k
         equal12 = 12 * (signs == np.roll(signs, -1, axis=0)).astype(np.int32)
@@ -164,7 +183,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
         g.ravel()[(lo[at] & index_mask) * rows + at // path_len] = hi[at] & index_mask
         clean = np.minimum.accumulate(g[::-1], axis=0)[::-1] >= r + 3 * n
         clean[1:] &= np.minimum.accumulate(g[:-1], axis=0) >= r[1:] + 2 * n
-        out[start : start + chunk] = clean.any(axis=0)
+        out[start + walked] = clean.any(axis=0)
     return out
 
 

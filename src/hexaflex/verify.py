@@ -415,6 +415,14 @@ def _suite_labeling(max_n: int) -> None:
                     f"global/blockwise disagree for {record.signs} glue={glue}",
                 )
                 strip = geometry.lay_strip(pattern.signs, glue)
+                if record.printable:  # lays flat, but a glue cell may close a ring on cell 0
+                    cells, top, bottom = strip.cells, fast.top, fast.bottom
+                    closes = glue and cells.index(cells[-1]) == 0
+                    relabels = (top[0], bottom[0]) == (top[-1], bottom[-1])
+                    _check(
+                        len(set(cells)) == len(cells) - (closes and relabels),
+                        f"net of printable {record.signs} repeats a cell, glue={glue}",
+                    )
                 for side in ("front", "back"):
                     svg = render.render_strip(strip, fast, side)
                     same = svg == naive_render_strip(strip, fast, side)

@@ -13,12 +13,14 @@ from hexaflex.geometry import (
     lay_strip,
     printable_class_count,
 )
+from hexaflex.labeling import build_pattern, strip_labels
 from hexaflex.sequences import (
     canonical_masks,
     enumerate_classes,
     extend,
     invert,
     is_valid,
+    reduction_history,
     reverse,
 )
 from hexaflex.verify import naive_is_printable
@@ -32,6 +34,17 @@ def _adjacent(a: LatticeCell, b: LatticeCell) -> bool:
     if a.orient != "up" or b.orient != "down":
         return False
     return (b.x, b.y) in {(a.x, a.y), (a.x, a.y - 1), (a.x - 1, a.y)}
+
+
+def _alternating_start(bits: str, length: int) -> int:
+    """Where bits first has length cyclically consecutive alternating digits, or -1."""
+    ring = (bits * 3)[: len(bits) + length - 1]
+    starts = [ring.find(("01" * length)[:length]), ring.find(("10" * length)[:length])]
+    return min((k for k in starts if k >= 0), default=-1)
+
+
+def _signs(bits: str) -> tuple[int, ...]:
+    return tuple(1 if c in "1+" else -1 for c in bits)
 
 
 def test_straight_row():
@@ -132,6 +145,28 @@ def test_bulk_matches_full_orbit_oracle():
     for n in range(3, 16):
         for record in enumerate_classes(n):
             assert record.printable == naive_is_printable(record.signs)
+
+
+def test_five_alternating_signs_never_lay_flat():
+    # Lemma D (above geometry.bulk_printable) from the walk alone, for every valid string
+    # of length 3..14: five alternating signs from k send cell i + 5 back to cell i - 1
+    tight = set()
+    for n in range(3, 15):
+        for digits in product("10", repeat=n):
+            bits = "".join(digits)
+            signs = _signs(bits)
+            if not is_valid(signs):
+                continue
+            k = _alternating_start(bits, 5)
+            if k >= 0:
+                i = k or n  # moves i..i + 5 need i >= 1
+                cells = geometry._walk(signs * 3)
+                assert cells[i - 1] == cells[i + 5], signs
+                assert not is_printable(signs), signs
+            elif _alternating_start(bits, 4) >= 0 and is_printable(signs):
+                tight.add(n)
+    # four alternating signs do not suffice: the lemma's run cannot be shorter
+    assert tight == {6, *range(8, 15)}
 
 
 def test_printable_class_count_small():
@@ -236,3 +271,66 @@ def test_bulk_matches_scalar_past_the_table():
             assert bool(flag) == is_printable(signs)
             seen.add(bool(flag))
     assert seen == {True, False}
+
+
+def test_bulk_printable_blocks_lemma_d_decides_wholly_or_not_at_all():
+    # several blocks each way at n = 24: every row decided, so the walk gets no rows,
+    # and no row decided, so the walk alone finds every printable class
+    n = 24
+    masks = canonical_masks(n)
+    decided = np.array([_alternating_start(format(int(m), f"0{n}b"), 5) >= 0 for m in masks])
+    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
+    assert min(decided.sum(), (~decided).sum()) > 2 * chunk
+    assert not bulk_printable(masks[decided], n).any()
+    assert bulk_printable(masks[~decided], n).sum() == KNOWN_COUNTS[n][1]
+
+
+def test_bulk_printable_mixed_blocks_match_the_walk():
+    # n = 12 classes tiled over two chunks and one row, so that a row Lemma D decides
+    # ends the first chunk and a row the walk decides starts the second
+    n = 12
+    masks = canonical_masks(n)
+    flags = np.array([is_printable(record.signs) for record in enumerate_classes(n)])
+    decided = np.array([_alternating_start(format(int(m), f"0{n}b"), 5) >= 0 for m in masks])
+    d = next(k for k in range(len(masks) - 1) if decided[k] and not decided[k + 1])
+    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
+    rows = (np.arange(2 * chunk + 1) + d - (chunk - 1)) % len(masks)
+    assert decided[rows[chunk - 1]] and not decided[rows[chunk]]
+    assert all(len(set(decided[rows[s : s + chunk]])) == 2 for s in (0, chunk))
+    assert np.array_equal(bulk_printable(masks[rows], n), flags[rows])
+
+
+def test_bulk_printable_lemma_d_across_the_mask_width():
+    # at n = 64 the mask test's rotations wrap a full uint64: every rotation of a string
+    # puts its alternating run somewhere, across the wrap too
+    n = 64
+    seen = set()
+    for text in ("+-+-+" + "+" * 59, "+" * 32 + "--+-++" + "-" * 26, "+" * 62 + "--"):
+        signs = _signs(text)
+        flag = is_printable(signs)
+        bits = text.replace("+", "1").replace("-", "0")
+        masks = np.array([int(bits[r:] + bits[:r], 2) for r in range(n)], dtype=np.uint64)
+        assert bulk_printable(masks, n).tolist() == [flag] * n, text
+        seen.add((_alternating_start(bits, 5) >= 0, flag))
+    assert seen == {(True, False), (False, True)}
+
+
+def test_net_lays_every_printable_class_flat():
+    # the orbit member that net lays, build_pattern(reduction_history(s)).signs, has 3n
+    # distinct cells for every printable class; with glue, the glue cell is new or closes
+    # a ring on cell 0 with cell 0's top and bottom labels (checked up to n = 20 here)
+    rings = 0
+    for n in range(3, 21):
+        for record in enumerate_classes(n):
+            if not record.printable:
+                continue
+            pattern = build_pattern(reduction_history(record.signs))
+            cells = lay_strip(pattern.signs).cells
+            assert len(set(cells)) == 3 * n, record.signs
+            glue = lay_strip(pattern.signs, glue=True).cells[-1]
+            if glue in cells:
+                labels = strip_labels(pattern, glue=True)
+                assert glue == cells[0], record.signs
+                assert (labels.top[-1], labels.bottom[-1]) == (labels.top[0], labels.bottom[0])
+                rings += 1
+    assert rings == 1002
