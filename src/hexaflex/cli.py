@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from typing import Iterable, Iterator, Optional
 
 from . import counting, geometry, labeling, render, sequences
 
@@ -33,8 +32,28 @@ def _parse_signs(text: str) -> tuple[int, ...]:
     return tuple(table[ch] for ch in text)
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full, or raise.
+
+    A large write into a pipe that closes can come back short without an
+    error, and a text stream drops the count, so the encoded bytes go to the
+    binary buffer until every byte is taken or a write raises
+    BrokenPipeError.  A stdout with no buffer, such as io.StringIO, takes
+    the text.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()  # whatever the text layer holds goes first
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    print(render.digits(counting.hexaflexagon_count(args.n)))
+    _write(render.digits(counting.hexaflexagon_count(args.n)) + "\n")
     return 0
 
 
@@ -50,26 +69,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         ]
     else:
         rows = [(n, counting.hexaflexagon_count(n), None) for n in ns]
-    sys.stdout.write(render.render_table(rows))
+    _write(render.render_table(rows))
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     sequences.check_size(n, args.limit, "enumeration")
-    rows = sequences.class_rows(sequences.canonical_masks(n), n, labels=args.with_labels)
-    sys.stdout.writelines(_jsonl(n, rows))
+    for block in sequences.class_jsonl(sequences.canonical_masks(n), n, labels=args.with_labels):
+        _write(block)
+        del block  # before the next block is built
     return 0
-
-
-def _jsonl(n: int, rows: Iterable[tuple[str, int, bool, Optional[list[int]]]]) -> Iterator[str]:
-    """One JSON object per class, as json.dumps writes it, keys in record order."""
-    for signs, total, printable, labels in rows:
-        tail = "" if labels is None else f', "labels": {labels}'  # a list of ints prints as JSON
-        yield (
-            f'{{"n": {n}, "signs": "{signs}", "sum": {total}, '
-            f'"printable": {"true" if printable else "false"}{tail}}}\n'
-        )
 
 
 def cmd_net(args: argparse.Namespace) -> int:
@@ -93,7 +103,7 @@ def cmd_net(args: argparse.Namespace) -> int:
     labels = labeling.strip_labels(pattern, glue=args.glue)
     document = render.render_strip(strip, labels, side=args.side, scale=args.scale)
     if args.out == "-":
-        sys.stdout.write(document)
+        _write(document)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

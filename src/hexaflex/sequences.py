@@ -6,7 +6,8 @@ shift, reversal, or global sign inversion.  This module provides the orbit
 operations, a canonical form, the extend/reduce moves that grow and shrink
 sequences, validity (reachability from the length-3 base), enumeration
 of every equivalence class, grown level by level by extension, and the
-extension histories and face labels of a whole level at once.
+extension histories, face labels and JSON lines of a whole level, a block
+of classes at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "invert",
     "canonicalize",
     "check_size",
+    "class_jsonl",
     "class_rows",
     "extend",
     "reduce",
@@ -365,8 +367,6 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 # position p of a length-L mask sits at bit L - p, so the leftmost valid
 # position is the highest valid bit.
 
-_SIGN_BYTES = np.frombuffer(b"-+", dtype=np.uint8)
-
 
 def _rotl(x: np.ndarray, length: int, r: int = 1) -> np.ndarray:
     """Length-L masks rotated left by 0 < r < L."""
@@ -455,29 +455,73 @@ def _labels(steps: np.ndarray, n: int) -> np.ndarray:
 
 def class_rows(
     masks: np.ndarray, n: int, *, labels: bool = False
-) -> Iterator[tuple[str, int, bool, Optional[list[int]]]]:
-    """(signs as '+'/'-' text, sum, printable, face labels or None) of each length-n mask.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """(masks, sums, printable flags, face labels or None) of each block of length-n masks.
 
-    printable is geometry.bulk_printable's flag and the labels are
-    build_pattern(reduction_history(signs)).labels, both computed for a block
-    of rows at a time so the (L, rows) arrays stay within the level kernels'
+    The flags are geometry.bulk_printable's and the labels, an int8 (rows, n)
+    array, are build_pattern(reduction_history(signs)).labels of each row.  A
+    block is sized so the (L, rows) arrays stay within the level kernels'
     byte budget.
     """
     from . import geometry  # geometry imports this module
 
     check_size(n, MAX_N, "the row kernel")
     block = max(1, _BLOCK_BYTES // (8 * n))
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
-        flags = geometry.bulk_printable(chunk, n).tolist()
-        text = _SIGN_BYTES[(chunk[:, None] >> shifts) & np.uint64(1)].view(f"S{n}")
-        signs = text.ravel().astype(f"U{n}").tolist()
-        sums = (2 * np.bitwise_count(chunk).astype(np.int64) - n).tolist()
-        rows = repeat(None)
-        if labels:  # listed row by row, so a block's label lists are never all alive at once
-            rows = map(np.ndarray.tolist, _labels(_histories(chunk, n), n))
-        yield from zip(signs, sums, flags, rows)
+        sums = 2 * np.bitwise_count(chunk).astype(np.int64) - n
+        faces = _labels(_histories(chunk, n), n) if labels else None
+        yield chunk, sums, geometry.bulk_printable(chunk, n), faces
+
+
+_SIGN_BYTES = np.frombuffer(b"-+", dtype=np.uint8)
+
+
+def _text_table(template: str, values: range) -> np.ndarray:
+    """template.format(v) of each value as ASCII bytes, padded with NUL to one width."""
+    return np.array([template.format(v).encode() for v in values], dtype=bytes)
+
+
+def _fixed(text: str) -> np.ndarray:
+    """text as one row of bytes, the same on every line."""
+    return np.frombuffer(text.encode(), dtype=np.uint8)[None, :]
+
+
+def class_jsonl(masks: np.ndarray, n: int, *, labels: bool = False) -> Iterator[str]:
+    """The JSON line of each length-n mask, one string per block of class_rows.
+
+    Each line is json.dumps of {"n", "signs", "sum", "printable"} and, with
+    labels, "labels".  A block's lines are rows of one byte array, each field
+    a fixed-width run of columns taken from a table padded with NUL; one
+    translate drops the NULs.
+    """
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    sum_text = _text_table("{}", range(-n, n + 1))  # indexed by the sum plus n
+    flag_text = np.array([b"false", b"true"])
+    label_text = _text_table("{}, ", range(n + 1))  # indexed by the label
+    last_text = _text_table("{}]}}\n", range(n + 1))
+    for chunk, sums, flags, faces in class_rows(masks, n, labels=labels):
+        fields = [
+            _fixed(f'{{"n": {n}, "signs": "'),
+            _SIGN_BYTES.take((chunk[:, None] >> shifts) & np.uint64(1)),
+            _fixed('", "sum": '),
+            sum_text.take(sums[:, None] + n),
+            _fixed(', "printable": '),
+            flag_text.take(flags.view(np.uint8)[:, None]),
+        ]
+        if faces is None:
+            fields.append(_fixed("}\n"))
+        else:
+            fields += [
+                _fixed(', "labels": ['),
+                label_text.take(faces[:, :-1]),
+                last_text.take(faces[:, -1:]),
+            ]
+        # one chain, so each copy of the block is freed as the next is made
+        yield np.concatenate(
+            [np.broadcast_to(f, (len(chunk), f.shape[1])).view(np.uint8) for f in fields], axis=1
+        ).tobytes().translate(None, b"\0").decode("ascii")
+        del fields  # before class_rows builds the next block
 
 
 def check_size(n: int, limit: int, what: str) -> None:
@@ -499,13 +543,11 @@ def enumerate_classes(
     number equals counting.hexaflexagon_count(n).
     """
     check_size(n, limit, "enumeration")
-    return [
-        ClassRecord(
-            n=n,
-            signs=tuple(1 if c == "+" else -1 for c in text),
-            sum=total,
-            printable=flag,
-            labels=None if row is None else tuple(row),
+    records = []
+    for chunk, sums, flags, faces in class_rows(canonical_masks(n), n, labels=labels):
+        rows = repeat(None) if faces is None else map(tuple, faces.tolist())
+        records += (
+            ClassRecord(n, signs_from_mask(m, n), total, flag, row)
+            for m, total, flag, row in zip(chunk.tolist(), sums.tolist(), flags.tolist(), rows)
         )
-        for text, total, flag, row in class_rows(canonical_masks(n), n, labels=labels)
-    ]
+    return records

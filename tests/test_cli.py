@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hexaflex import cli, counting, geometry, labeling, sequences, verify
@@ -153,6 +155,81 @@ def test_enumerate_n21_matches_recorded_digest():
     assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
 
 
+@pytest.mark.parametrize(
+    "with_labels, sha256",
+    [
+        (False, "106c693d91d977fda15fb08f7cf02af68cf7808b51803ef992935f00aab8a644"),
+        (True, "364b7b87dbe0386151d76bc70c3864f8e6547d9a150a4a819b959918909f90ca"),
+    ],
+)
+def test_enumerate_n24_matches_recorded_digest(with_labels, sha256):
+    # 59343 lines over six blocks at the default block budget; digests recorded
+    # from the line-by-line formatter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexaflex", "enumerate", "--n", "24"]
+        + ["--with-labels"] * with_labels,
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.count(b"\n") == 59343
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256
+
+
+def _orbit_members(n: int, seed: int) -> list[tuple[int, ...]]:
+    """Valid length-n sequences: random extensions of (1, 1, 1), each shifted and
+    maybe reversed and inverted, plus the largest valid sum and its negative."""
+    rng = random.Random(seed)
+    members = []
+    for _ in range(40):
+        signs = (1, 1, 1)
+        while len(signs) < n:
+            signs = sequences.extend(signs, rng.randint(1, len(signs)))
+        if rng.random() < 0.5:
+            signs = sequences.reverse(signs)
+        if rng.random() < 0.5:
+            signs = sequences.invert(signs)
+        members.append(sequences.cyclic_shift(signs, rng.randrange(n)))
+    minus = next(k for k in range(n) if (n - 2 * k) % 3 == 0)
+    top = (-1,) * minus + (1,) * (n - minus)
+    return members + [top, sequences.invert(top)]
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+@pytest.mark.parametrize("n", [25, 40, 63, 64])
+def test_class_jsonl_matches_json_dumps_at_the_field_widths(n, with_labels):
+    # two-digit labels up to 64 and sums from -63 to 63, past the enumeration limit
+    members = _orbit_members(n, seed=n)
+    bits = ("".join("1" if a > 0 else "0" for a in signs) for signs in members)
+    masks = np.array([int(text, 2) for text in bits], dtype=np.uint64)
+    expected = []
+    for signs in members:
+        payload = {
+            "n": n,
+            "signs": "".join("+" if a > 0 else "-" for a in signs),
+            "sum": sum(signs),
+            "printable": geometry.is_printable(signs),
+        }
+        if with_labels:
+            pattern = labeling.build_pattern(sequences.reduction_history(signs))
+            payload["labels"] = list(pattern.labels)
+        expected.append(json.dumps(payload) + "\n")
+    assert "".join(sequences.class_jsonl(masks, n, labels=with_labels)) == "".join(expected)
+
+
+def test_enumerate_one_row_per_block(capsys, monkeypatch):
+    expected = {}
+    for n in range(3, 13):
+        for flag in ([], ["--with-labels"]):
+            assert run(["enumerate", "--n", str(n)] + flag) == 0
+            expected[n, bool(flag)] = capsys.readouterr().out
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
+    for (n, with_labels), out in expected.items():
+        assert run(["enumerate", "--n", str(n)] + ["--with-labels"] * with_labels) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_enumerate_first_class(capsys):
     assert run(["enumerate", "--n", "3"]) == 0
     record = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -230,6 +307,24 @@ def test_enumerate_into_closed_pipe():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err
+    assert err == b""
+
+
+def test_table_into_closed_pipe():
+    # as `hexaflex table --max 3000 | head -1`: one write of about 1.4 MB, which a
+    # closing pipe can take in part without an error
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hexaflex", "table", "--max", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"n,H\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
     assert err == b""
 
 

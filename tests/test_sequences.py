@@ -264,13 +264,19 @@ def test_batch_histories_reject_invalid_masks_and_sizes():
 
 def test_class_rows_one_row_per_block(monkeypatch):
     def levels():
+        # each column of a level's blocks (masks, sums, flags, labels), joined
         return [
-            list(sequences.class_rows(canonical_masks(n), n, labels=True)) for n in range(3, 13)
+            [np.concatenate(column) for column in zip(*blocks)]
+            for blocks in (
+                sequences.class_rows(canonical_masks(n), n, labels=True) for n in range(3, 13)
+            )
         ]
 
     expected = levels()
     monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
-    assert levels() == expected
+    for level, want in zip(levels(), expected):
+        for column, want_column in zip(level, want, strict=True):
+            assert np.array_equal(column, want_column)
 
 
 def test_class_rows_printable_matches_whole_level(monkeypatch):
@@ -280,16 +286,18 @@ def test_class_rows_printable_matches_whole_level(monkeypatch):
     for block_bytes in (sequences._BLOCK_BYTES, 1):
         monkeypatch.setattr(sequences, "_BLOCK_BYTES", block_bytes)
         for n in levels:
-            flags = [row[2] for row in sequences.class_rows(canonical_masks(n), n)]
+            blocks = sequences.class_rows(canonical_masks(n), n)
+            flags = np.concatenate([flags for _, _, flags, _ in blocks]).tolist()
             assert flags == expected[n], (n, block_bytes)
 
 
 @pytest.mark.parametrize("labels", [False, True])
 def test_class_rows_size_guard(labels):
     # uint64 shifts past the mask width would wrap, and n = 0 divided by zero
-    for n in (0, 2, sequences.MAX_N + 1):
-        with pytest.raises(ValueError):
-            list(sequences.class_rows(np.array([5], dtype=np.uint64), n, labels=labels))
+    for rows in (sequences.class_rows, sequences.class_jsonl):
+        for n in (0, 2, sequences.MAX_N + 1):
+            with pytest.raises(ValueError):
+                list(rows(np.array([5], dtype=np.uint64), n, labels=labels))
 
 
 @given(valid_sequences())
