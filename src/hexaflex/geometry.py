@@ -138,7 +138,7 @@ _MOVES = np.array([_STEP[t] << 4 | t for t in _NEXT], dtype=np.int32)
 
 
 def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
-    """Printability flags for an array of sign bitmasks, vectorized.
+    """Printability flags for one block of sign bitmasks, vectorized.
 
     One 4n-1 cell path per class covers all n shift windows: window r, cells
     r..r+3n-1, holds the shift-r strip up to congruence.  Sorted keys give g[p],
@@ -146,44 +146,42 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     p and q do (the same signs lay them, turned or mirrored), so window r repeats
     a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
     Rows with five alternating signs in a row are unprintable by Lemma D and
-    skip the walk.
+    skip the walk.  sequences.class_rows sizes the blocks for the walk's keys.
     """
     sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
+    masks = np.asarray(masks, dtype=np.uint64)
     out = np.zeros(len(masks), dtype=bool)  # the rows Lemma D decides stay False
-    chunk = max(1, sequences._BLOCK_BYTES // (path_len * 4))  # int32 (rows, path) keys
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
-    for start in range(0, len(masks), chunk):
-        block = np.asarray(masks[start : start + chunk], dtype=np.uint64)
-        unequal = block ^ sequences._rotl(block, n)  # bit set: an unequal neighbour pair
-        unequal &= sequences._rotl(unequal, n)
-        walked = np.flatnonzero((unequal & sequences._rotl(unequal, n, 2)) == 0)
-        del unequal
-        block = block[walked]
-        rows = len(block)
-        signs = (block >> shifts) & np.uint64(1)  # (n, rows): row k holds sign k
-        equal12 = 12 * (signs == np.roll(signs, -1, axis=0)).astype(np.int32)
-        walk = np.empty((path_len, rows), dtype=np.int32)  # walk[j]: the keys of cell j
-        walk[0] = (1 + _ORIGIN) << (_COORD_BITS + _INDEX_BITS) | (1 + _ORIGIN) << _INDEX_BITS
-        walk[1] = walk[0] + _STEP[0]
-        state = np.zeros(rows, dtype=np.int32)
-        for j in range(2, path_len):
-            code = _MOVES.take(equal12[(j - 2) % n] + state)
-            state = code & 15
-            np.add(walk[j - 1], code >> 4, out=walk[j])
-        keys = np.ascontiguousarray(walk.T)
-        keys.sort(axis=1)
-        lo, hi = keys.ravel()[:-1], keys.ravel()[1:]
-        # equal cells, the first at an index below n; never across rows, as every path
-        # holds cells (1, 1) and (2, 2): a row's last cell is above the next row's first
-        at = np.flatnonzero(((lo ^ hi) <= index_mask) & ((lo & index_mask) < n))
-        g = np.full((n, rows), path_len, dtype=np.int16)
-        g.ravel()[(lo[at] & index_mask) * rows + at // path_len] = hi[at] & index_mask
-        clean = np.minimum.accumulate(g[::-1], axis=0)[::-1] >= r + 3 * n
-        clean[1:] &= np.minimum.accumulate(g[:-1], axis=0) >= r[1:] + 2 * n
-        out[start + walked] = clean.any(axis=0)
+    unequal = masks ^ sequences._rotl(masks, n)  # bit n - 1 - k: signs k and k + 1 differ
+    run = unequal & sequences._rotl(unequal, n)
+    walked = np.flatnonzero((run & sequences._rotl(run, n, 2)) == 0)
+    del run
+    rows = len(walked)
+    # (n, rows): row k is 12 where signs k and k + 1 (cyclically) of a walked class are equal
+    equal12 = 12 * (((unequal[walked] >> shifts) & np.uint64(1)) == 0).astype(np.int32)
+    del unequal  # like run, before the walk: kept, they fragment the heap (+4 MiB peak RSS)
+    walk = np.empty((path_len, rows), dtype=np.int32)  # walk[j]: the keys of cell j
+    walk[0] = (1 + _ORIGIN) << (_COORD_BITS + _INDEX_BITS) | (1 + _ORIGIN) << _INDEX_BITS
+    walk[1] = walk[0] + _STEP[0]
+    state = np.zeros(rows, dtype=np.int32)
+    for j in range(2, path_len):
+        code = _MOVES.take(equal12[(j - 2) % n] + state)
+        state = code & 15
+        np.add(walk[j - 1], code >> 4, out=walk[j])
+    keys = np.ascontiguousarray(walk.T)
+    keys.sort(axis=1)
+    lo, hi = keys.ravel()[:-1], keys.ravel()[1:]
+    # equal cells, the first at an index below n; never across rows, as every path
+    # holds cells (1, 1) and (2, 2): a row's last cell is above the next row's first
+    at = np.flatnonzero(((lo ^ hi) <= index_mask) & ((lo & index_mask) < n))
+    g = np.full((n, rows), path_len, dtype=np.int16)
+    g.ravel()[(lo[at] & index_mask) * rows + at // path_len] = hi[at] & index_mask
+    clean = np.minimum.accumulate(g[::-1], axis=0)[::-1] >= r + 3 * n
+    clean[1:] &= np.minimum.accumulate(g[:-1], axis=0) >= r[1:] + 2 * n
+    out[walked] = clean.any(axis=0)
     return out
 
 
@@ -194,4 +192,4 @@ def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int
     expected = hexaflexagon_count(n)
     if len(masks) != expected:
         raise ArithmeticError(f"{len(masks)} classes generated at n={n}, but H({n}) = {expected}")
-    return int(bulk_printable(masks, n).sum())
+    return sum(int(flags.sum()) for _, _, flags, _ in sequences.class_rows(masks, n))

@@ -12,6 +12,7 @@ of classes at a time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
@@ -238,7 +239,7 @@ class ClassRecord:
 # canonical forms of every one-position extension of level n - 1.
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
-_BLOCK_BYTES = 1 << 21  # per temporary array of _grow, class_rows and geometry.bulk_printable
+_BLOCK_BYTES = 1 << 21  # per temporary array of _grow and of each kernel class_rows runs
 
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
@@ -459,17 +460,22 @@ def class_rows(
     """(masks, sums, printable flags, face labels or None) of each block of length-n masks.
 
     The flags are geometry.bulk_printable's and the labels, an int8 (rows, n)
-    array, are build_pattern(reduction_history(signs)).labels of each row.  A
-    block is sized so the (L, rows) arrays stay within the level kernels'
-    byte budget.
+    array, are build_pattern(reduction_history(signs)).labels of each row.  This
+    is the one place a level is cut into blocks, each sized by the largest
+    per-row temporary of those kernels: the walk's int32 keys, 4n - 1 per row.
+    A block holding a mask that is no valid length-n sequence (Lemma C) raises
+    ValueError before any kernel runs on it.
     """
     from . import geometry  # geometry imports this module
 
     check_size(n, MAX_N, "the row kernel")
-    block = max(1, _BLOCK_BYTES // (8 * n))
+    full = np.uint64((1 << n) - 1)
+    block = max(1, _BLOCK_BYTES // (4 * (4 * n - 1)))
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
         sums = 2 * np.bitwise_count(chunk).astype(np.int64) - n
+        if (chunk & ~full).any() or (sums % 3).any() or ((chunk ^ _rotl(chunk, n)) == full).any():
+            raise ValueError(f"a mask is not a valid length-{n} sign sequence")
         faces = _labels(_histories(chunk, n), n) if labels else None
         yield chunk, sums, geometry.bulk_printable(chunk, n), faces
 
@@ -526,6 +532,7 @@ def class_jsonl(masks: np.ndarray, n: int, *, labels: bool = False) -> Iterator[
 
 def check_size(n: int, limit: int, what: str) -> None:
     """The one size guard of every level kernel and command: 3 <= n <= limit <= MAX_N."""
+    operator.index(n)  # a TypeError for a non-integral n, which no level is grown to
     if n < 3:
         raise ValueError(f"{what} needs n >= 3, got {n}")
     if limit > MAX_N:

@@ -163,7 +163,7 @@ def test_enumerate_n21_matches_recorded_digest():
     ],
 )
 def test_enumerate_n24_matches_recorded_digest(with_labels, sha256):
-    # 59343 lines over six blocks at the default block budget; digests recorded
+    # 59343 lines over 11 blocks at the default block budget; digests recorded
     # from the line-by-line formatter
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -204,14 +204,26 @@ def test_bulk_printable_empty():
     assert bulk_printable(np.zeros(0, dtype=np.uint32), 5).shape == (0,)
 
 
+def _block_rows(n: int) -> int:
+    """Rows per class_rows block at the default budget: the walk's int32 keys, 4n - 1 per row."""
+    return sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
+
+
+def _row_blocks(masks: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """The length of each class_rows block over masks, and their printable flags joined."""
+    blocks = [flags for _, _, flags, _ in sequences.class_rows(masks, n)]
+    return [len(flags) for flags in blocks], np.concatenate(blocks)
+
+
 def test_bulk_printable_across_chunk_boundaries():
-    # tile the n = 12 classes past two chunks with an odd remainder
+    # tile the n = 12 classes past two class_rows blocks with an odd remainder
     n = 12
     masks = canonical_masks(n)
     flags = bulk_printable(masks, n)
-    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
+    chunk = _block_rows(n)
     count = 2 * chunk + 2 * len(masks) + 1
-    tiled = bulk_printable(np.resize(masks, count), n)
+    sizes, tiled = _row_blocks(np.resize(masks, count), n)
+    assert sizes == [chunk, chunk, count - 2 * chunk]
     assert np.array_equal(tiled, np.resize(flags, count))
     records = enumerate_classes(n)
     for boundary in (chunk, 2 * chunk):
@@ -221,10 +233,10 @@ def test_bulk_printable_across_chunk_boundaries():
 
 
 def test_bulk_printable_one_row_per_chunk(monkeypatch):
-    expected = {n: bulk_printable(canonical_masks(n), n) for n in range(3, 13)}
+    # printable_class_count sums the flags of class_rows' blocks, here one class each
     monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
-    for n, flags in expected.items():
-        assert np.array_equal(bulk_printable(canonical_masks(n), n), flags)
+    for n in range(3, 15):
+        assert printable_class_count(n) == KNOWN_COUNTS[n][1]
 
 
 def test_bulk_printable_ceiling():
@@ -274,30 +286,33 @@ def test_bulk_matches_scalar_past_the_table():
 
 
 def test_bulk_printable_blocks_lemma_d_decides_wholly_or_not_at_all():
-    # several blocks each way at n = 24: every row decided, so the walk gets no rows,
-    # and no row decided, so the walk alone finds every printable class
+    # several class_rows blocks each way at n = 24: every row decided, so the walk gets
+    # no rows, and no row decided, so the walk alone finds every printable class
     n = 24
     masks = canonical_masks(n)
     decided = np.array([_alternating_start(format(int(m), f"0{n}b"), 5) >= 0 for m in masks])
-    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
-    assert min(decided.sum(), (~decided).sum()) > 2 * chunk
-    assert not bulk_printable(masks[decided], n).any()
-    assert bulk_printable(masks[~decided], n).sum() == KNOWN_COUNTS[n][1]
+    assert min(decided.sum(), (~decided).sum()) > 2 * _block_rows(n)
+    sizes, flags = _row_blocks(masks[decided], n)
+    assert len(sizes) > 2 and not flags.any()
+    sizes, flags = _row_blocks(masks[~decided], n)
+    assert len(sizes) > 2 and flags.sum() == KNOWN_COUNTS[n][1]
 
 
 def test_bulk_printable_mixed_blocks_match_the_walk():
-    # n = 12 classes tiled over two chunks and one row, so that a row Lemma D decides
-    # ends the first chunk and a row the walk decides starts the second
+    # n = 12 classes tiled over two class_rows blocks and one row, so that a row Lemma D
+    # decides ends the first block and a row the walk decides starts the second
     n = 12
     masks = canonical_masks(n)
     flags = np.array([is_printable(record.signs) for record in enumerate_classes(n)])
     decided = np.array([_alternating_start(format(int(m), f"0{n}b"), 5) >= 0 for m in masks])
     d = next(k for k in range(len(masks) - 1) if decided[k] and not decided[k + 1])
-    chunk = sequences._BLOCK_BYTES // ((4 * n - 1) * 4)
+    chunk = _block_rows(n)
     rows = (np.arange(2 * chunk + 1) + d - (chunk - 1)) % len(masks)
     assert decided[rows[chunk - 1]] and not decided[rows[chunk]]
     assert all(len(set(decided[rows[s : s + chunk]])) == 2 for s in (0, chunk))
-    assert np.array_equal(bulk_printable(masks[rows], n), flags[rows])
+    sizes, tiled = _row_blocks(masks[rows], n)
+    assert sizes == [chunk, chunk, 1]
+    assert np.array_equal(tiled, flags[rows])
 
 
 def test_bulk_printable_lemma_d_across_the_mask_width():

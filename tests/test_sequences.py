@@ -300,6 +300,20 @@ def test_class_rows_size_guard(labels):
                 list(rows(np.array([5], dtype=np.uint64), n, labels=labels))
 
 
+@pytest.mark.parametrize("labels", [False, True])
+def test_class_rows_rejects_masks_that_are_not_classes(labels):
+    cases = [
+        (0b1011, 3),  # a bit at position n
+        (0b1111, 3),  # a bit at position n, and a sum of 5
+        (0b1110, 4),  # a sum of 2, which 3 does not divide
+        (0b101010, 6),  # no equal neighbour pair, with a sum of 0 (Lemma C)
+    ]
+    for rows in (sequences.class_rows, sequences.class_jsonl):
+        for mask, n in cases:
+            with pytest.raises(ValueError, match="not a valid"):
+                list(rows(np.array([mask], dtype=np.uint64), n, labels=labels))
+
+
 @given(valid_sequences())
 @settings(max_examples=60)
 def test_reduction_history_replay_lands_in_orbit(signs):
@@ -417,6 +431,21 @@ def test_ladder_grown_one_parent_per_block(monkeypatch):
     for n in range(3, 19):
         assert np.array_equal(canonical_masks(n), expected[n])
         assert not canonical_masks(n).flags.writeable
+
+
+def test_check_size_rejects_non_integral_n():
+    # a float between 3 and the limit passes the range checks, and the ladder's search
+    # for the level below it steps past every integer level
+    with pytest.raises(TypeError):
+        sequences.check_size(7.5, 24, "x")
+    sequences.check_size(np.int64(7), 24, "x")
+    for call in (
+        lambda: canonical_masks(3.5),
+        lambda: enumerate_classes(7.5),
+        lambda: geometry.printable_class_count(7.5),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_canonical_masks_range():
