@@ -239,9 +239,10 @@ class ClassRecord:
 # canonical forms of every one-position extension of level n - 1.
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
-_BLOCK_BYTES = 1 << 21  # per temporary array of _grow and of each kernel class_rows runs
+# per temporary array of _grow and of each kernel class_rows runs; it also sizes
+# _orbit_max's chunks, whose uint64 temporaries take an eighth of it, in cache
+_BLOCK_BYTES = 1 << 21
 
-_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
 _LADDER[3].flags.writeable = False
 
@@ -249,18 +250,26 @@ _LADDER[3].flags.writeable = False
 def _bitrev(x: np.ndarray, n: int) -> np.ndarray:
     """Each n-bit mask reversed.
 
-    A 64-bit reversal is a byte-order reversal plus a bit reversal within
-    each byte, so the byte table works on either endianness.
+    Three mask-and-shift swaps reverse the bits within each byte and a
+    byte swap reverses the byte order.  Both act on the values, so the
+    result is the same on either endianness.
     """
-    full = _REV8[np.ascontiguousarray(x).view(np.uint8)].view(np.uint64)
-    full.byteswap(inplace=True)
-    full >>= np.uint64(64 - n)
-    return full
+    v = x
+    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+        s, m = np.uint64(shift), np.uint64(mask)
+        v = ((v >> s) & m) | ((v & m) << s)
+    v.byteswap(inplace=True)
+    v >>= np.uint64(64 - n)
+    return v
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """Ascending distinct values; np.unique's hashing is far slower than a sort here."""
-    x = np.sort(x, axis=None)
+    """Ascending distinct values; np.unique's hashing is far slower than a sort here.
+
+    A contiguous x is sorted in place, so a read-only one raises ValueError.
+    """
+    x = x.ravel()
+    x.sort()
     keep = np.empty(len(x), dtype=bool)
     keep[:1] = True
     np.not_equal(x[1:], x[:-1], out=keep[1:])
@@ -268,6 +277,19 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
+    """Largest rotation of each mask or of its reversal, by chunks of rows.
+
+    The window passes stream their temporaries about 4n times, so each
+    chunk is sized to keep them in cache: _BLOCK_BYTES // 64 rows.
+    """
+    chunk = max(1, _BLOCK_BYTES // 64)
+    best = np.empty(len(x), dtype=np.uint64)
+    for start in range(0, len(x), chunk):
+        best[start : start + chunk] = _window_max(x[start : start + chunk], n)
+    return best
+
+
+def _window_max(x: np.ndarray, n: int) -> np.ndarray:
     """Largest rotation of each mask or of its reversal.
 
     A window word holds one rotation in its top n bits and the next 64 - n

@@ -385,6 +385,44 @@ def test_orbit_max_and_bitrev_match_strings():
             assert sequences._orbit_max(x, n).tolist() == expected
 
 
+def test_orbit_max_across_chunk_boundaries(monkeypatch):
+    # chunks of 7 rows, each call ending in a partial chunk, at every width
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 7 * 64)
+    rng = np.random.default_rng(23)
+    for n in range(3, sequences.MAX_N + 1):
+        masks = rng.integers(0, 1 << 63, size=68, dtype=np.uint64) << np.uint64(1)
+        masks |= rng.integers(0, 2, size=len(masks), dtype=np.uint64)
+        masks &= np.uint64((1 << n) - 1)
+        for x in (masks, masks[::3]):  # 68 and 23 rows, contiguous and strided
+            bits = [format(m, f"0{n}b") for m in x.tolist()]
+            expected = [
+                max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
+                for b in bits
+            ]
+            assert sequences._orbit_max(x, n).tolist() == expected, n
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(29)
+    arrays = [
+        rng.integers(0, 50, size=300, dtype=np.uint64),
+        rng.integers(0, 50, size=(7, 40), dtype=np.uint64),  # C-contiguous 2-D
+        np.empty(0, dtype=np.uint64),
+        np.array([5], dtype=np.uint64),
+        np.full(9, 4, dtype=np.uint64),
+    ]
+    for x in arrays:
+        expected = np.unique(x)
+        assert np.array_equal(sequences._sorted_unique(x.copy()), expected)
+        # a contiguous input is sorted in place
+        sequences._sorted_unique(x)
+        assert np.array_equal(x.ravel(), np.sort(x, axis=None))
+    level = canonical_masks(12)
+    with pytest.raises(ValueError):  # read-only, so not silently copied
+        sequences._sorted_unique(level)
+    assert (level[:-1] > level[1:]).all()
+
+
 def test_ladder_canonical_against_tuple_oracle():
     # above n = 12 the naive scan is too slow; check order and a seeded sample
     rng = np.random.default_rng(19)
@@ -431,6 +469,16 @@ def test_ladder_grown_one_parent_per_block(monkeypatch):
     for n in range(3, 19):
         assert np.array_equal(canonical_masks(n), expected[n])
         assert not canonical_masks(n).flags.writeable
+
+
+def test_ladder_grown_in_orbit_chunks_of_few_rows(monkeypatch):
+    # orbit chunks of 7 rows, with a partial last chunk in most calls; even n
+    # also runs the zero-sum complement rows through them
+    expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
+    monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 7 * 64)
+    for n in range(3, 19):
+        assert np.array_equal(canonical_masks(n), expected[n]), n
 
 
 def test_check_size_rejects_non_integral_n():
