@@ -19,6 +19,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .counting import hexaflexagon_count
+
 __all__ = [
     "ClassRecord",
     "DEFAULT_ENUMERATION_LIMIT",
@@ -323,16 +325,22 @@ def _window_max(x: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
+def _extensions(x: np.ndarray, length: int) -> np.ndarray:
+    """Each length-L mask extended at positions 1..L, as the rows of a (L, masks) array."""
+    one = np.uint64(1)
+    out = np.empty((length, len(x)), dtype=np.uint64)
+    for i, b in enumerate(np.arange(length - 1, -1, -1, dtype=np.uint64)):
+        # extend position i + 1, at bit b: its entry a becomes the pair (-a, -a)
+        high = (x >> (b + one)) << (b + np.uint64(2))
+        pair = ((~x >> b) & one) * np.uint64(3) << b
+        out[i] = high | pair | x & ((one << b) - one)
+    return out
+
+
 def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
     """Ascending distinct canonical forms of every one-position extension of parent."""
     mask = np.uint64((1 << n) - 1)
-    candidates = np.empty((n - 1, len(parent)), dtype=np.uint64)
-    for b in range(n - 1):  # extend the entry at bit b of the parent
-        high = (parent >> np.uint64(b + 1)) << np.uint64(b + 2)
-        pair = ((~parent >> np.uint64(b)) & np.uint64(1)) * np.uint64(3) << np.uint64(b)
-        low = parent & np.uint64((1 << b) - 1)
-        candidates[b] = high | pair | low
-    x = _sorted_unique(candidates)
+    x = _sorted_unique(_extensions(parent, n - 1))
     # canonical forms have non-negative sum: complement negative sums, and
     # let a zero sum also try its complement
     twice_ones = 2 * np.bitwise_count(x).astype(np.int64)
@@ -346,20 +354,23 @@ def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
 def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     """Level n from level n - 1, canonicalized one block of parents at a time.
 
-    Each block's sorted canonical set waits until the waiting sets together
-    outgrow the merged set, and all are then merged into it, so a merge
-    sorts at most twice the level plus one block's set.  A level of one
-    block is never sorted again.
+    The level fills one buffer of at most H(n) masks: each block's canonical
+    forms that the sorted prefix lacks are appended, and the prefix is sorted
+    again.  Outgrowing the buffer raises ArithmeticError.
     """
     block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
-    merged = _canonical_extensions(parent[:block], n)
-    pending: list[np.ndarray] = []
-    for start in range(block, len(parent), block):
-        pending.append(_canonical_extensions(parent[start : start + block], n))
-        if start + block >= len(parent) or sum(map(len, pending)) > len(merged):
-            merged = _sorted_unique(np.concatenate([merged, *pending]))
-            pending = []
-    out = merged[::-1].copy()
+    level = np.empty(min(hexaflexagon_count(n), (n - 1) * len(parent)), dtype=np.uint64)
+    size = 0
+    for start in range(0, len(parent), block):
+        new = _canonical_extensions(parent[start : start + block], n)
+        if size:  # drop the forms an earlier block found
+            new = new[level[np.searchsorted(level[:size], new).clip(max=size - 1)] != new]
+        if size + len(new) > len(level):
+            raise ArithmeticError(f"more than {len(level)} classes grown at n={n}")
+        level[size : size + len(new)] = new
+        size += len(new)
+        level[:size].sort(kind="stable")  # two sorted runs, which a stable sort merges
+    out = level[:size][::-1].copy()
     out.flags.writeable = False
     return out
 
@@ -367,16 +378,19 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
 def canonical_masks(n: int) -> np.ndarray:
     """Canonical bitmasks of every class at length n, descending (= canonical order).
 
-    Levels are grown once and kept.  Each level is grown from the one below
-    in bounded blocks of parents (see _grow), so the candidate arrays do not
-    grow with the level.
+    Levels are grown once and kept, each from the one below in bounded blocks
+    of parents into one buffer (see _grow).  A grown level that does not hold
+    exactly H(n) = counting.hexaflexagon_count(n) masks raises ArithmeticError.
     """
     check_size(n, MAX_N, "the class ladder")
     grown = n
     while grown not in _LADDER:
         grown -= 1
     for level in range(grown + 1, n + 1):
-        _LADDER.setdefault(level, _grow(_LADDER[level - 1], level))
+        masks, expected = _grow(_LADDER[level - 1], level), hexaflexagon_count(level)
+        if len(masks) != expected:
+            raise ArithmeticError(f"{len(masks)} classes at n={level}, but H({level}) = {expected}")
+        _LADDER.setdefault(level, masks)
     return _LADDER[n]
 
 
@@ -429,7 +443,6 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     """
     # int8 holds every step and label, each <= n
     check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
-    one = np.uint64(1)
     chain = [np.asarray(masks, dtype=np.uint64)]
     # contractions move a sum by 3, so one check here covers every length (Lemma C)
     if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
@@ -441,12 +454,7 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     steps = np.empty((len(cur), n - 3), dtype=np.int8)
     for length in range(3, n):
         target = chain.pop()
-        grown = np.empty((length, len(cur)), dtype=np.uint64)
-        for i, b in enumerate(np.arange(length - 1, -1, -1, dtype=np.uint64)):
-            # extend position i + 1, at bit b: its entry a becomes the pair (-a, -a)
-            high = (cur >> (b + one)) << (b + np.uint64(2))
-            pair = ((~cur >> b) & one) * np.uint64(3) << b
-            grown[i] = high | pair | cur & ((one << b) - one)
+        grown = _extensions(cur, length)
         match = grown == target
         for r in range(1, length + 1):
             match |= grown == _rotl(target, length + 1, r)
@@ -568,8 +576,8 @@ def enumerate_classes(
 ) -> list[ClassRecord]:
     """Every equivalence class at length n, canonically sorted.
 
-    The classes come from the extension ladder (see canonical_masks); their
-    number equals counting.hexaflexagon_count(n).
+    The classes come from the extension ladder, which checks that their number
+    is counting.hexaflexagon_count(n) and raises ArithmeticError if not.
     """
     check_size(n, limit, "enumeration")
     records = []

@@ -84,8 +84,20 @@ def test_table_limit_above_ceiling_fails_fast(capsys):
 
 
 def test_class_count_mismatch_is_arithmetic_failure(capsys, monkeypatch):
-    monkeypatch.setattr(geometry, "hexaflexagon_count", lambda n: hexaflexagon_count(n) + 1)
+    # the ladder checks each level as it grows it, so start it again under the patch
+    monkeypatch.setattr(sequences, "_LADDER", {3: sequences.canonical_masks(3)})
+    monkeypatch.setattr(sequences, "hexaflexagon_count", lambda n: hexaflexagon_count(n) + 1)
     assert run(["table", "--max", "6", "--printable"]) == 1
+    captured = capsys.readouterr()
+    assert "internal arithmetic failure" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "7"], ["net", "--n", "7"]])
+def test_class_count_mismatch_fails_every_ladder_command(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sequences, "_LADDER", {3: sequences.canonical_masks(3)})
+    monkeypatch.setattr(sequences, "hexaflexagon_count", lambda n: hexaflexagon_count(n) + 1)
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert "internal arithmetic failure" in captured.err
     assert captured.out == ""

@@ -3,7 +3,8 @@
 Every name a module imports is used or re-exported, and no module has an
 assert statement: limits and invariants must survive `python -O`.  The
 renderer, the labels, the closed forms and the CLI import no numpy, so the
-net path and the closed-form counts can one day run without it.
+net path and the closed-form counts can one day run without it.  The closed
+forms import no other module of the package, so any of them can import them.
 """
 
 import ast
@@ -53,16 +54,27 @@ def test_no_assert_statements(path):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-@pytest.mark.parametrize("name", ["render.py", "labeling.py", "counting.py", "cli.py"])
-def test_no_numpy_in_pure_python_modules(name):
-    # pure Python here is also the faster choice: a numpy render measured slower;
-    # the closed forms are exact Python ints and must not import numpy either,
-    # and the CLI leaves every array to the modules it calls
+def _imported_modules(name: str) -> set[str]:
+    """Every module a package module imports; a relative one keeps its leading dots."""
     tree = ast.parse((ROOT / "src" / "hexaflex" / name).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            modules.add(node.module or "")
-    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+            modules.add("." * node.level + (node.module or ""))
+    return modules
+
+
+@pytest.mark.parametrize("name", ["render.py", "labeling.py", "counting.py", "cli.py"])
+def test_no_numpy_in_pure_python_modules(name):
+    # pure Python here is also the faster choice: a numpy render measured slower;
+    # the closed forms are exact Python ints and must not import numpy either,
+    # and the CLI leaves every array to the modules it calls
+    assert not {m for m in _imported_modules(name) if m.split(".")[0] == "numpy"}
+
+
+def test_counting_imports_no_other_package_module():
+    # sequences imports counting, so counting importing any of them would risk a cycle
+    modules = _imported_modules("counting.py")
+    assert not {m for m in modules if m.startswith(".") or m.split(".")[0] == "hexaflex"}

@@ -365,6 +365,18 @@ def test_ladder_step_at_full_mask_width():
     assert grown.tolist() == sorted(expected, reverse=True)
 
 
+def test_ladder_rejects_a_level_with_duplicates(monkeypatch):
+    # every block's forms twice: the level outgrows H(n) and is never kept
+    extensions = sequences._canonical_extensions
+    monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
+    monkeypatch.setattr(
+        sequences, "_canonical_extensions", lambda parent, n: np.tile(extensions(parent, n), 2)
+    )
+    with pytest.raises(ArithmeticError):
+        canonical_masks(8)
+    assert 8 not in sequences._LADDER
+
+
 def test_orbit_max_and_bitrev_match_strings():
     # every width, so the window boundaries at n = 32, 33 and 64 are crossed
     rng = np.random.default_rng(17)
