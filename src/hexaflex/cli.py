@@ -76,7 +76,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     sequences.check_size(n, args.limit, "enumeration")
-    for block in sequences.class_jsonl(sequences.canonical_masks(n), n, labels=args.with_labels):
+    for block in sequences.class_jsonl(n, labels=args.with_labels):
         _write(block)
         del block  # before the next block is built
     return 0

@@ -187,5 +187,4 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
 def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int:
     """Number of printable equivalence classes at length n."""
     sequences.check_size(n, limit, "counting")
-    masks = sequences.canonical_masks(n)  # checked against H(n) as it is grown
-    return sum(int(flags.sum()) for _, _, flags, _ in sequences.class_rows(masks, n))
+    return sum(int(flags.sum()) for _, _, flags, _ in sequences.class_rows(n))

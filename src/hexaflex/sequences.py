@@ -352,25 +352,28 @@ def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
 
 
 def _grow(parent: np.ndarray, n: int) -> np.ndarray:
-    """Level n from level n - 1, canonicalized one block of parents at a time.
+    """Level n from the whole of level n - 1, canonicalized one block of parents at a time.
 
-    The level fills one buffer of at most H(n) masks: each block's canonical
-    forms that the sorted prefix lacks are appended, and the prefix is sorted
-    again.  Outgrowing the buffer raises ArithmeticError.
+    The level fills one buffer of exactly H(n) = counting.hexaflexagon_count(n)
+    masks: each block's canonical forms that the sorted prefix lacks are
+    appended, and the prefix is sorted again.  A level that overfills or
+    underfills the buffer raises ArithmeticError, the ladder's one count check.
     """
     block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
-    level = np.empty(min(hexaflexagon_count(n), (n - 1) * len(parent)), dtype=np.uint64)
+    level = np.empty(hexaflexagon_count(n), dtype=np.uint64)
     size = 0
     for start in range(0, len(parent), block):
         new = _canonical_extensions(parent[start : start + block], n)
         if size:  # drop the forms an earlier block found
             new = new[level[np.searchsorted(level[:size], new).clip(max=size - 1)] != new]
         if size + len(new) > len(level):
-            raise ArithmeticError(f"more than {len(level)} classes grown at n={n}")
+            raise ArithmeticError(f"more than H({n}) = {len(level)} classes grown at n={n}")
         level[size : size + len(new)] = new
         size += len(new)
         level[:size].sort(kind="stable")  # two sorted runs, which a stable sort merges
-    out = level[:size][::-1].copy()
+    if size < len(level):
+        raise ArithmeticError(f"{size} classes grown at n={n}, but H({n}) = {len(level)}")
+    out = level[::-1].copy()
     out.flags.writeable = False
     return out
 
@@ -378,19 +381,17 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
 def canonical_masks(n: int) -> np.ndarray:
     """Canonical bitmasks of every class at length n, descending (= canonical order).
 
-    Levels are grown once and kept, each from the one below in bounded blocks
-    of parents into one buffer (see _grow).  A grown level that does not hold
-    exactly H(n) = counting.hexaflexagon_count(n) masks raises ArithmeticError.
+    Levels are grown once and kept, each from the whole level below, in
+    bounded blocks of parents, into one buffer of exactly H(n) masks (see
+    _grow).  A level that _grow finds with any other count raises
+    ArithmeticError and is not kept.
     """
     check_size(n, MAX_N, "the class ladder")
     grown = n
     while grown not in _LADDER:
         grown -= 1
     for level in range(grown + 1, n + 1):
-        masks, expected = _grow(_LADDER[level - 1], level), hexaflexagon_count(level)
-        if len(masks) != expected:
-            raise ArithmeticError(f"{len(masks)} classes at n={level}, but H({level}) = {expected}")
-        _LADDER.setdefault(level, masks)
+        _LADDER.setdefault(level, _grow(_LADDER[level - 1], level))
     return _LADDER[n]
 
 
@@ -485,27 +486,24 @@ def _labels(steps: np.ndarray, n: int) -> np.ndarray:
 
 
 def class_rows(
-    masks: np.ndarray, n: int, *, labels: bool = False
+    n: int, *, labels: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """(masks, sums, printable flags, face labels or None) of each block of length-n masks.
+    """(masks, sums, printable flags, face labels or None) of each block of level n.
 
+    The masks are canonical_masks(n), the ladder's, so every row is a class.
     The flags are geometry.bulk_printable's and the labels, an int8 (rows, n)
-    array, are build_pattern(reduction_history(signs)).labels of each row.  This
-    is the one place a level is cut into blocks, each sized by the largest
-    per-row temporary of those kernels: the walk's int32 keys, 4n - 1 per row.
-    A block holding a mask that is no valid length-n sequence (Lemma C) raises
-    ValueError before any kernel runs on it.
+    array, are build_pattern(reduction_history(signs)).labels of each row.
+    This is the one place that cuts a level for the row kernels (_grow and
+    _orbit_max cut their own blocks), each block sized by the largest per-row
+    temporary of those kernels: the walk's int32 keys, 4n - 1 per row.
     """
     from . import geometry  # geometry imports this module
 
-    check_size(n, MAX_N, "the row kernel")
-    full = np.uint64((1 << n) - 1)
+    masks = canonical_masks(n)
     block = max(1, _BLOCK_BYTES // (4 * (4 * n - 1)))
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
         sums = 2 * np.bitwise_count(chunk).astype(np.int64) - n
-        if (chunk & ~full).any() or (sums % 3).any() or ((chunk ^ _rotl(chunk, n)) == full).any():
-            raise ValueError(f"a mask is not a valid length-{n} sign sequence")
         faces = _labels(_histories(chunk, n), n) if labels else None
         yield chunk, sums, geometry.bulk_printable(chunk, n), faces
 
@@ -523,8 +521,8 @@ def _fixed(text: str) -> np.ndarray:
     return np.frombuffer(text.encode(), dtype=np.uint8)[None, :]
 
 
-def class_jsonl(masks: np.ndarray, n: int, *, labels: bool = False) -> Iterator[str]:
-    """The JSON line of each length-n mask, one string per block of class_rows.
+def class_jsonl(n: int, *, labels: bool = False) -> Iterator[str]:
+    """The JSON line of each class at length n, one string per block of class_rows(n).
 
     Each line is json.dumps of {"n", "signs", "sum", "printable"} and, with
     labels, "labels".  A block's lines are rows of one byte array, each field
@@ -536,7 +534,7 @@ def class_jsonl(masks: np.ndarray, n: int, *, labels: bool = False) -> Iterator[
     flag_text = np.array([b"false", b"true"])
     label_text = _text_table("{}, ", range(n + 1))  # indexed by the label
     last_text = _text_table("{}]}}\n", range(n + 1))
-    for chunk, sums, flags, faces in class_rows(masks, n, labels=labels):
+    for chunk, sums, flags, faces in class_rows(n, labels=labels):
         fields = [
             _fixed(f'{{"n": {n}, "signs": "'),
             _SIGN_BYTES.take((chunk[:, None] >> shifts) & np.uint64(1)),
@@ -576,12 +574,12 @@ def enumerate_classes(
 ) -> list[ClassRecord]:
     """Every equivalence class at length n, canonically sorted.
 
-    The classes come from the extension ladder, which checks that their number
-    is counting.hexaflexagon_count(n) and raises ArithmeticError if not.
+    The classes come from class_rows(n), so from the extension ladder, which
+    grows exactly counting.hexaflexagon_count(n) of them or raises ArithmeticError.
     """
     check_size(n, limit, "enumeration")
     records = []
-    for chunk, sums, flags, faces in class_rows(canonical_masks(n), n, labels=labels):
+    for chunk, sums, flags, faces in class_rows(n, labels=labels):
         rows = repeat(None) if faces is None else map(tuple, faces.tolist())
         records += (
             ClassRecord(n, signs_from_mask(m, n), total, flag, row)

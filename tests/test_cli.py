@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -210,7 +212,7 @@ def _orbit_members(n: int, seed: int) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("with_labels", [False, True])
 @pytest.mark.parametrize("n", [25, 40, 63, 64])
-def test_class_jsonl_matches_json_dumps_at_the_field_widths(n, with_labels):
+def test_class_jsonl_matches_json_dumps_at_the_field_widths(monkeypatch, n, with_labels):
     # two-digit labels up to 64 and sums from -63 to 63, past the enumeration limit
     members = _orbit_members(n, seed=n)
     bits = ("".join("1" if a > 0 else "0" for a in signs) for signs in members)
@@ -227,7 +229,8 @@ def test_class_jsonl_matches_json_dumps_at_the_field_widths(n, with_labels):
             pattern = labeling.build_pattern(sequences.reduction_history(signs))
             payload["labels"] = list(pattern.labels)
         expected.append(json.dumps(payload) + "\n")
-    assert "".join(sequences.class_jsonl(masks, n, labels=with_labels)) == "".join(expected)
+    monkeypatch.setitem(sequences._LADDER, n, masks)  # class_jsonl reads level n from the ladder
+    assert "".join(sequences.class_jsonl(n, labels=with_labels)) == "".join(expected)
 
 
 def test_enumerate_one_row_per_block(capsys, monkeypatch):
@@ -504,6 +507,52 @@ def test_run_back_to_back_keeps_no_state(capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 3 and not any("labels" in record for record in records)
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max", "8", "--printable"],
+        ["enumerate", "--n", "9", "--with-labels"],
+        ["net", "--signs", "++--"],
+    ],
+)
+def test_text_stdout_matches_the_byte_path(capsys, argv):
+    # benchmarks/worker.py gives cli.run an io.StringIO, which has no buffer, so
+    # every benchmark op takes _write's text branch; capsys takes the byte branch
+    assert hasattr(sys.stdout, "buffer")
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert run(argv) == 0
+    assert not hasattr(text, "buffer")
+    assert text.getvalue() == expected
+    assert capsys.readouterr().out == ""
+
+
+def test_benchmark_span_call_routes(capsys, monkeypatch):
+    # benchmarks/spans.py wraps these module attributes; a call that stops going
+    # through them reads 0 there without failing, so pin the routes here
+    masks, bulk = sequences.canonical_masks, geometry.bulk_printable
+    levels, rows = [], []
+
+    def counted_masks(n):
+        levels.append(n)
+        return masks(n)
+
+    def counted_bulk(block, n):
+        rows.append(len(block))
+        return bulk(block, n)
+
+    monkeypatch.setattr(sequences, "canonical_masks", counted_masks)
+    monkeypatch.setattr(geometry, "bulk_printable", counted_bulk)
+    assert run(["table", "--min", "3", "--max", "12", "--printable"]) == 0
+    assert levels == list(range(3, 13))
+    assert sum(rows) == sum(hexaflexagon_count(n) for n in range(3, 13))
+    levels.clear()
+    assert run(["enumerate", "--n", "10", "--with-labels"]) == 0
+    assert levels == [10]
+    capsys.readouterr()
 
 
 def test_console_script():

@@ -212,8 +212,14 @@ def _block_rows(n: int) -> int:
 
 
 def _row_blocks(masks: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
-    """The length of each class_rows block over masks, and their printable flags joined."""
-    blocks = [flags for _, _, flags, _ in sequences.class_rows(masks, n)]
+    """The length of each class_rows block over masks, and their printable flags joined.
+
+    class_rows reads its level from the ladder, so masks stand in for level n
+    while the blocks are cut.
+    """
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(sequences._LADDER, n, masks)
+        blocks = [flags for _, _, flags, _ in sequences.class_rows(n)]
     return [len(flags) for flags in blocks], np.concatenate(blocks)
 
 

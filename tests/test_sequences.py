@@ -268,7 +268,7 @@ def test_class_rows_one_row_per_block(monkeypatch):
         return [
             [np.concatenate(column) for column in zip(*blocks)]
             for blocks in (
-                sequences.class_rows(canonical_masks(n), n, labels=True) for n in range(3, 13)
+                sequences.class_rows(n, labels=True) for n in range(3, 13)
             )
         ]
 
@@ -286,7 +286,7 @@ def test_class_rows_printable_matches_whole_level(monkeypatch):
     for block_bytes in (sequences._BLOCK_BYTES, 1):
         monkeypatch.setattr(sequences, "_BLOCK_BYTES", block_bytes)
         for n in levels:
-            blocks = sequences.class_rows(canonical_masks(n), n)
+            blocks = sequences.class_rows(n)
             flags = np.concatenate([flags for _, _, flags, _ in blocks]).tolist()
             assert flags == expected[n], (n, block_bytes)
 
@@ -297,21 +297,7 @@ def test_class_rows_size_guard(labels):
     for rows in (sequences.class_rows, sequences.class_jsonl):
         for n in (0, 2, sequences.MAX_N + 1):
             with pytest.raises(ValueError):
-                list(rows(np.array([5], dtype=np.uint64), n, labels=labels))
-
-
-@pytest.mark.parametrize("labels", [False, True])
-def test_class_rows_rejects_masks_that_are_not_classes(labels):
-    cases = [
-        (0b1011, 3),  # a bit at position n
-        (0b1111, 3),  # a bit at position n, and a sum of 5
-        (0b1110, 4),  # a sum of 2, which 3 does not divide
-        (0b101010, 6),  # no equal neighbour pair, with a sum of 0 (Lemma C)
-    ]
-    for rows in (sequences.class_rows, sequences.class_jsonl):
-        for mask, n in cases:
-            with pytest.raises(ValueError, match="not a valid"):
-                list(rows(np.array([mask], dtype=np.uint64), n, labels=labels))
+                list(rows(n, labels=labels))
 
 
 @given(valid_sequences())
@@ -353,16 +339,16 @@ def test_ladder_cardinality():
 
 
 def test_ladder_step_at_full_mask_width():
-    # one parent of length 63 grown to 64 bits, against the tuple-level canonical form
+    # one parent of length 63 extended to 64 bits, against the tuple-level canonical form
     signs = (1, 1, 1)
     rng = np.random.default_rng(3)
     while len(signs) < 63:
         signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
     parent = canonicalize(signs)
     to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
-    grown = sequences._grow(np.array([to_mask(parent)], dtype=np.uint64), 64)
+    grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), 64)
     expected = {to_mask(canonicalize(extend(parent, i))) for i in range(1, 64)}
-    assert grown.tolist() == sorted(expected, reverse=True)
+    assert grown.tolist() == sorted(expected)
 
 
 def test_ladder_rejects_a_level_with_duplicates(monkeypatch):
