@@ -231,10 +231,13 @@ class ClassRecord:
 
 
 # ---------------------------------------------------------------------------
-# Class ladder.  Sequences are packed into uint64 bitmasks (a_1 at the MSB,
-# bit 1 = +1), so a class's canonical form is its largest orbit mask with
+# Class ladder.  Sequences are packed into bitmasks (a_1 at the MSB, bit 1 =
+# +1), so a class's canonical form is its largest orbit mask with
 # non-negative sum.  Rotating left by r in sequence terms is a left
-# bit-rotation; reversal is a bit reversal; inversion is complement.
+# bit-rotation; reversal is a bit reversal; inversion is complement.  Levels
+# are uint64; the candidate kernels work in the word of their input array,
+# with Python int scalars, which take that word (NEP 50) where a numpy scalar
+# of another width would widen it.
 #
 # A sequence is valid exactly when extension moves reach it from (1, 1, 1),
 # and extension commutes with the orbit operations, so level n holds the
@@ -242,7 +245,8 @@ class ClassRecord:
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
 # per temporary array of _grow and of each kernel class_rows runs; it also sizes
-# _orbit_max's chunks, whose uint64 temporaries take an eighth of it, in cache
+# _orbit_max's chunks, whose temporaries take an eighth of it (uint64) or a
+# sixteenth (uint32), in cache
 _BLOCK_BYTES = 1 << 21
 
 _LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
@@ -250,18 +254,20 @@ _LADDER[3].flags.writeable = False
 
 
 def _bitrev(x: np.ndarray, n: int) -> np.ndarray:
-    """Each n-bit mask reversed.
+    """Each n-bit mask reversed, in the word of x.
 
     Three mask-and-shift swaps reverse the bits within each byte and a
     byte swap reverses the byte order.  Both act on the values, so the
     result is the same on either endianness.
     """
+    bits = 8 * x.itemsize
+    bytes_one = ((1 << bits) - 1) // 0xFF  # 0x0101...01
     v = x
-    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
-        s, m = np.uint64(shift), np.uint64(mask)
-        v = ((v >> s) & m) | ((v & m) << s)
+    for shift, byte in ((1, 0x55), (2, 0x33), (4, 0x0F)):
+        m = byte * bytes_one
+        v = ((v >> shift) & m) | ((v & m) << shift)
     v.byteswap(inplace=True)
-    v >>= np.uint64(64 - n)
+    v >>= bits - n
     return v
 
 
@@ -285,62 +291,67 @@ def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
     chunk is sized to keep them in cache: _BLOCK_BYTES // 64 rows.
     """
     chunk = max(1, _BLOCK_BYTES // 64)
-    best = np.empty(len(x), dtype=np.uint64)
+    best = np.empty(len(x), dtype=x.dtype)
     for start in range(0, len(x), chunk):
         best[start : start + chunk] = _window_max(x[start : start + chunk], n)
     return best
 
 
 def _window_max(x: np.ndarray, n: int) -> np.ndarray:
-    """Largest rotation of each mask or of its reversal.
+    """Largest rotation of each mask or of its reversal, in the word of x.
 
-    A window word holds one rotation in its top n bits and the next 64 - n
-    bits of the cycle below them, so each left shift by s < 65 - n puts one
-    more rotation on top.  The bits below never decide a maximum.  One
-    window covers every rotation up to n = 32; above that a new window
-    starts every 65 - n rotations.
+    A window word of b bits holds one rotation in its top n bits and the
+    next b - n bits of the cycle below them, so each left shift by
+    s < b + 1 - n puts one more rotation on top.  The bits below never
+    decide a maximum.  One window covers every rotation up to n = b / 2;
+    above that a new window starts every b + 1 - n rotations.
     """
-    span = 65 - n  # rotations per window
+    bits = 8 * x.itemsize
+    span = bits + 1 - n  # rotations per window
     best = np.zeros_like(x)
     window = np.empty_like(x)
     shifted = np.empty_like(x)
     for v in (x, _bitrev(x, n)):
         for start in range(0, n, span):
-            # the cycle from rotation start, repeated down the 64 bits
-            np.left_shift(v, np.uint64(64 - n + start), out=window)
+            # the cycle from rotation start, repeated down the word
+            np.left_shift(v, bits - n + start, out=window)
             if start:
-                np.right_shift(v, np.uint64(n - start), out=shifted)
-                shifted <<= np.uint64(64 - n)
+                np.right_shift(v, n - start, out=shifted)
+                shifted <<= bits - n
                 window |= shifted
             period = n
-            while period < 64:
-                np.right_shift(window, np.uint64(period), out=shifted)
+            while period < bits:
+                np.right_shift(window, period, out=shifted)
                 window |= shifted
                 period *= 2
             np.maximum(best, window, out=best)
             for s in range(1, min(span, n - start)):
-                np.left_shift(window, np.uint64(s), out=shifted)
+                np.left_shift(window, s, out=shifted)
                 np.maximum(best, shifted, out=best)
-    best >>= np.uint64(64 - n)
+    best >>= bits - n
     return best
 
 
 def _extensions(x: np.ndarray, length: int) -> np.ndarray:
     """Each length-L mask extended at positions 1..L, as the rows of a (L, masks) array."""
-    one = np.uint64(1)
-    out = np.empty((length, len(x)), dtype=np.uint64)
-    for i, b in enumerate(np.arange(length - 1, -1, -1, dtype=np.uint64)):
+    out = np.empty((length, len(x)), dtype=x.dtype)
+    for i, b in enumerate(range(length - 1, -1, -1)):
         # extend position i + 1, at bit b: its entry a becomes the pair (-a, -a)
-        high = (x >> (b + one)) << (b + np.uint64(2))
-        pair = ((~x >> b) & one) * np.uint64(3) << b
-        out[i] = high | pair | x & ((one << b) - one)
+        high = (x >> (b + 1)) << (b + 2)
+        pair = ((~x >> b) & 1) * 3 << b
+        out[i] = high | pair | x & ((1 << b) - 1)
     return out
 
 
 def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
-    """Ascending distinct canonical forms of every one-position extension of parent."""
-    mask = np.uint64((1 << n) - 1)
-    x = _sorted_unique(_extensions(parent, n - 1))
+    """Ascending distinct canonical forms of every one-position extension of parent.
+
+    parent and the result are uint64; in between, the candidates are in the
+    narrowest word that holds n bits (uint32 measured faster at every n it holds).
+    """
+    word = np.uint32 if n <= 32 else np.uint64
+    mask = (1 << n) - 1
+    x = _sorted_unique(_extensions(parent.astype(word, copy=False), n - 1))
     # canonical forms have non-negative sum: complement negative sums, and
     # let a zero sum also try its complement
     twice_ones = 2 * np.bitwise_count(x).astype(np.int64)
@@ -348,7 +359,7 @@ def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
     zero = twice_ones == n
     best = _orbit_max(x, n)
     best[zero] = np.maximum(best[zero], _orbit_max(x[zero] ^ mask, n))
-    return _sorted_unique(best)
+    return _sorted_unique(best).astype(np.uint64, copy=False)
 
 
 def _grow(parent: np.ndarray, n: int) -> np.ndarray:

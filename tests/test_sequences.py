@@ -351,6 +351,44 @@ def test_ladder_step_at_full_mask_width():
     assert grown.tolist() == sorted(expected)
 
 
+class _OneWord(np.ndarray):
+    """A mask array whose ufunc calls fail unless every operand and result is in its word.
+
+    Python int operands take the array's word (NEP 50), so they pass; a numpy
+    scalar of another width, which would widen the call, does not.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        operands = [a for a in inputs + out if isinstance(a, (np.ndarray, np.generic))]
+        assert {a.dtype for a in operands} == {self.dtype}, (ufunc.__name__, operands)
+        plain = lambda a: a.view(np.ndarray) if isinstance(a, _OneWord) else a  # noqa: E731
+        if out:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        assert result.dtype == self.dtype, ufunc.__name__
+        return out[0] if out else result.view(_OneWord)
+
+
+def test_ladder_step_across_the_word_switch():
+    # one parent each side of the uint32/uint64 switch in _canonical_extensions
+    rng = np.random.default_rng(31)
+    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
+    for n in (31, 32, 33):
+        signs = (1, 1, 1)
+        while len(signs) < n - 1:
+            signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
+        parent = canonicalize(signs)
+        grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), n)
+        expected = {to_mask(canonicalize(extend(parent, i))) for i in range(1, n)}
+        assert grown.dtype == np.uint64
+        assert grown.tolist() == sorted(expected), n
+        if n <= 32:  # the narrow extensions, each in its own row
+            narrow = np.array([to_mask(parent)], dtype=np.uint32).view(_OneWord)
+            rows = sequences._extensions(narrow, n - 1)
+            assert rows.dtype == np.uint32
+            assert rows[:, 0].tolist() == [to_mask(extend(parent, i)) for i in range(1, n)]
+
+
 def test_ladder_rejects_a_level_with_duplicates(monkeypatch):
     # every block's forms twice: the level outgrows H(n) and is never kept
     extensions = sequences._canonical_extensions
@@ -373,14 +411,21 @@ def test_orbit_max_and_bitrev_match_strings():
         masks &= np.uint64(full)
         edges = [0, full] + [1 << b for b in range(n)]
         masks = np.concatenate([masks, np.array(edges, dtype=np.uint64)])
-        for x in (masks, masks[::3]):  # contiguous and strided
+        # the uint32 copy also fails any ufunc call that leaves its word
+        words = [masks] + ([masks.astype(np.uint32).view(_OneWord)] if n <= 32 else [])
+        for x in [y for w in words for y in (w, w[::3])]:  # contiguous and strided
             bits = [format(m, f"0{n}b") for m in x.tolist()]
-            assert sequences._bitrev(x, n).tolist() == [int(b[::-1], 2) for b in bits]
+            reversed_ = sequences._bitrev(x, n)
+            assert reversed_.dtype == x.dtype
+            assert reversed_.tolist() == [int(b[::-1], 2) for b in bits]
             expected = [
                 max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
                 for b in bits
             ]
-            assert sequences._orbit_max(x, n).tolist() == expected
+            for kernel in (sequences._window_max, sequences._orbit_max):
+                best = kernel(x, n)
+                assert best.dtype == x.dtype
+                assert best.tolist() == expected
 
 
 def test_orbit_max_across_chunk_boundaries(monkeypatch):
@@ -391,13 +436,16 @@ def test_orbit_max_across_chunk_boundaries(monkeypatch):
         masks = rng.integers(0, 1 << 63, size=68, dtype=np.uint64) << np.uint64(1)
         masks |= rng.integers(0, 2, size=len(masks), dtype=np.uint64)
         masks &= np.uint64((1 << n) - 1)
-        for x in (masks, masks[::3]):  # 68 and 23 rows, contiguous and strided
+        words = [masks] + ([masks.astype(np.uint32)] if n <= 32 else [])
+        for x in [y for w in words for y in (w, w[::3])]:  # 68 and 23 rows
             bits = [format(m, f"0{n}b") for m in x.tolist()]
             expected = [
                 max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
                 for b in bits
             ]
-            assert sequences._orbit_max(x, n).tolist() == expected, n
+            best = sequences._orbit_max(x, n)
+            assert best.dtype == x.dtype, n
+            assert best.tolist() == expected, n
 
 
 def test_sorted_unique_matches_np_unique():
