@@ -333,13 +333,18 @@ def _window_max(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _extensions(x: np.ndarray, length: int) -> np.ndarray:
-    """Each length-L mask extended at positions 1..L, as the rows of a (L, masks) array."""
+    """Each length-L mask extended at positions 1..L, as the rows of a (L, masks) array.
+
+    The rows take x's word, and L must be below its bit width: position 1 sets bit L.
+    """
     out = np.empty((length, len(x)), dtype=x.dtype)
-    for i, b in enumerate(range(length - 1, -1, -1)):
-        # extend position i + 1, at bit b: its entry a becomes the pair (-a, -a)
-        high = (x >> (b + 1)) << (b + 2)
-        pair = ((~x >> b) & 1) * 3 << b
-        out[i] = high | pair | x & ((1 << b) - 1)
+    flipped = ~x
+    for row, b in zip(out, range(length - 1, -1, -1)):
+        # adding x's bits from b up lifts them one place; entry a, now at b + 1, and bit b take -a
+        np.bitwise_and(x, ((1 << 8 * x.itemsize) - 1) ^ ((1 << b) - 1), out=row)
+        row += x
+        row ^= 1 << (b + 1)
+        row |= flipped & (1 << b)
     return out
 
 
@@ -414,35 +419,34 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 # Histories and labels of a whole level.  _histories follows the rule of
 # reduction_history and _labels that of build_pattern, on the ladder's masks:
 # position p of a length-L mask sits at bit L - p, so the leftmost valid
-# position is the highest valid bit.
+# position is the highest valid bit.  _rotl and _contract work in the word of
+# their input, and _histories in uint32 where n fits, as the ladder's candidates
+# do: every step streams (L, rows) words, and half-width words halve its bytes.
 
 
-def _rotl(x: np.ndarray, length: int, r: int = 1) -> np.ndarray:
-    """Length-L masks rotated left by 0 < r < L."""
-    full = np.uint64((1 << length) - 1)
-    return ((x << np.uint64(r)) | (x >> np.uint64(length - r))) & full
+def _rotl(x: np.ndarray, length: int, r: int | np.ndarray = 1) -> np.ndarray:
+    """Length-L masks rotated left by 0 < r < L, in x's word; an (R, 1) column r gives R rows."""
+    return ((x << r) | (x >> (length - r))) & ((1 << length) - 1)
 
 
 def _contract(x: np.ndarray, length: int) -> np.ndarray:
     """Each length-L mask contracted at its leftmost equal pair whose result is valid."""
-    one = np.uint64(1)
-    full = np.uint64((1 << length) - 1)
     # bit j: positions L - j and L - j + 1 (cyclically) hold equal signs
-    equal = ~(x ^ _rotl(x, length)) & full
+    equal = ~(x ^ _rotl(x, length)) & ((1 << length) - 1)
     # a sum that is a multiple of 3 stays one, so it stays achievable (Lemma C):
     # the shorter sequence is valid unless it has no equal pair, when the equal
     # pairs are exactly three consecutive ones and the middle one is contracted
     middle = equal & _rotl(equal, length) & _rotl(equal, length, length - 1)
-    valid = equal & ~np.where(np.bitwise_count(equal) == 3, middle, np.uint64(0))
+    valid = equal & ~np.where(np.bitwise_count(equal) == 3, middle, 0)
     if not valid.all():
         raise ValueError(f"no valid contraction of a length-{length} mask")
-    top = valid.copy()
-    for shift in (1, 2, 4, 8, 16, 32):
-        top |= top >> np.uint64(shift)
-    j = np.bitwise_count(top).astype(np.uint64) - one  # the highest valid bit
-    merged = ((x >> j) & one) ^ one  # the pair (a, a) becomes one -a
+    top = valid
+    for shift in (1, 2, 4, 8, 16, 32)[: (length - 1).bit_length()]:
+        top |= top >> shift
+    j = np.bitwise_count(top).astype(x.dtype) - 1  # the highest valid bit
+    merged = ((x >> j) & 1) ^ 1  # the pair (a, a) becomes one -a
     # the pair at bits (j, j - 1) merges in place; j > 0 by Lemma A
-    return (x >> (j + one)) << j | merged << (j - one) | x & ((one << (j - one)) - one)
+    return (x >> (j + 1)) << j | merged << (j - 1) | x & ((1 << (j - 1)) - 1)
 
 
 def _histories(masks: np.ndarray, n: int) -> np.ndarray:
@@ -451,11 +455,13 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     Every row is contracted down to length 3 together, never at the wrapped
     pair (see the lemmas above reduction_history); the replay then
     compares all L extensions of each row with the L + 1 rotations of its
-    next chain entry and takes the first match.
+    next chain entry and takes the first match.  The chain and the replay
+    are in uint32 words for n <= 32, else uint64.
     """
     # int8 holds every step and label, each <= n
     check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
-    chain = [np.asarray(masks, dtype=np.uint64)]
+    word = np.uint32 if n <= 32 else np.uint64
+    chain = [np.asarray(masks, dtype=np.uint64).astype(word, copy=False)]
     # contractions move a sum by 3, so one check here covers every length (Lemma C)
     if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
         raise ValueError(f"a length-{n} mask has a sum that is not a multiple of 3")
@@ -468,8 +474,8 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
         target = chain.pop()
         grown = _extensions(cur, length)
         match = grown == target
-        for r in range(1, length + 1):
-            match |= grown == _rotl(target, length + 1, r)
+        for rotation in _rotl(target, length + 1, np.arange(1, length + 1, dtype=word)[:, None]):
+            match |= grown == rotation
         first = match.argmax(axis=0)
         if not match[first, columns].all():
             raise ValueError(f"no extension matches its chain entry at length {length + 1}")

@@ -212,9 +212,10 @@ def test_batch_histories_and_labels_match_scalar_seeded_rows():
 
 
 def test_batch_histories_on_orbit_members_up_to_full_width():
-    # any valid mask, not only canonical ones, and the 64-bit shifts at n = 64
+    # any valid mask, not only canonical ones, the uint32/uint64 switch after n = 32,
+    # and the 64-bit shifts at n = 64
     rng = random.Random(5)
-    for n in (25, 40, 63, 64):
+    for n in (25, 31, 32, 33, 40, 63, 64):
         rows = []
         for _ in range(20):
             signs = (1, 1, 1)
@@ -249,7 +250,19 @@ def test_contract_takes_leftmost_valid_pair():
                     contracted[to_mask(signs)] = to_mask(reduce(signs, p))
                     break
         masks = np.array(list(contracted), dtype=np.uint64)
-        assert sequences._contract(masks, length).tolist() == list(contracted.values())
+        # the uint32 copy, as _histories contracts for n <= 32
+        for x in [masks] + ([masks.astype(np.uint32)] if length <= 32 else []):
+            shorter = sequences._contract(x, length)
+            assert shorter.dtype == x.dtype
+            assert shorter.tolist() == list(contracted.values())
+            # every rotation, as the replay builds them; _OneWord fails any ufunc
+            # call of _rotl that leaves the word
+            shifts = np.arange(1, length, dtype=x.dtype)[:, None]
+            rotated = sequences._rotl(x.view(_OneWord), length, shifts)
+            assert rotated.dtype == x.dtype
+            members = [signs_from_mask(m, length) for m in x.tolist()]
+            expected = [[to_mask(cyclic_shift(t, r)) for t in members] for r in range(1, length)]
+            assert rotated.tolist() == expected
 
 
 def test_batch_histories_reject_invalid_masks_and_sizes():
@@ -387,6 +400,26 @@ def test_ladder_step_across_the_word_switch():
             rows = sequences._extensions(narrow, n - 1)
             assert rows.dtype == np.uint32
             assert rows[:, 0].tolist() == [to_mask(extend(parent, i)) for i in range(1, n)]
+
+
+def test_extensions_match_extend_in_each_word():
+    """Random masks extended at every position, against extend on the signs.
+
+    L stays below the word's bit width, as _extensions needs: position 1 sets
+    bit L, the word's top bit at L = bits - 1, and under NEP 50 a Python int
+    1 << 32 raises OverflowError against a uint32 array.
+    """
+    rng = np.random.default_rng(37)
+    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
+    for word, lengths in ((np.uint32, (3, 17, 31)), (np.uint64, (32, 47, 63))):
+        for length in lengths:
+            masks = rng.integers(0, 1 << length, size=40, dtype=np.uint64).astype(word)
+            # _OneWord fails any ufunc call that leaves the word
+            rows = sequences._extensions(masks.view(_OneWord), length)
+            assert rows.dtype == word and rows.shape == (length, len(masks))
+            for column, m in zip(rows.T.tolist(), masks.tolist()):
+                signs = signs_from_mask(m, length)
+                assert column == [to_mask(extend(signs, i)) for i in range(1, length + 1)]
 
 
 def test_ladder_rejects_a_level_with_duplicates(monkeypatch):
