@@ -358,9 +358,9 @@ def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
     mask = (1 << n) - 1
     x = _sorted_unique(_extensions(parent.astype(word, copy=False), n - 1))
     # canonical forms have non-negative sum: complement negative sums, and
-    # let a zero sum also try its complement
-    twice_ones = 2 * np.bitwise_count(x).astype(np.int64)
-    x[twice_ones < n] ^= mask
+    # let a zero sum also try its complement; uint8 holds twice up to 64 ones
+    twice_ones = np.bitwise_count(x) << 1
+    np.bitwise_xor(x, mask, out=x, where=twice_ones < n)
     zero = twice_ones == n
     best = _orbit_max(x, n)
     best[zero] = np.maximum(best[zero], _orbit_max(x[zero] ^ mask, n))
@@ -474,13 +474,17 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
         target = chain.pop()
         grown = _extensions(cur, length)
         match = grown == target
+        hit = np.empty_like(match)
         for rotation in _rotl(target, length + 1, np.arange(1, length + 1, dtype=word)[:, None]):
-            match |= grown == rotation
-        first = match.argmax(axis=0)
-        if not match[first, columns].all():
+            match |= np.equal(grown, rotation, out=hit)
+        # row k weighs L - k, so the first match weighs most: unlike argmax(axis=0), a max
+        # down the rows runs a row at a time, not a strided scan of each column
+        weights = np.arange(length, 0, -1, dtype=np.uint8)[:, None]
+        best = np.multiply(match.view(np.uint8), weights, out=hit.view(np.uint8)).max(axis=0)
+        if not best.all():
             raise ValueError(f"no extension matches its chain entry at length {length + 1}")
-        steps[:, length - 3] = first + 1
-        cur = grown[first, columns]
+        steps[:, length - 3] = length + 1 - best
+        cur = grown[length - best, columns]
     return steps
 
 

@@ -247,6 +247,19 @@ def test_bulk_printable_one_row_per_chunk(monkeypatch):
         assert printable_class_count(n) == KNOWN_COUNTS[n][1]
 
 
+def test_bulk_printable_one_and_two_row_blocks():
+    # a block that walks one row has a walk whose transpose is already contiguous,
+    # so the sorted keys must be a copy, never the walk buffer the scan reuses
+    for n in range(3, 17):
+        masks = canonical_masks(n)
+        flags = bulk_printable(masks, n)
+        for width in (1, 2):
+            for start in range(len(masks) - width + 1):
+                block = slice(start, start + width)
+                assert np.array_equal(bulk_printable(masks[block], n), flags[block]), (n, block)
+    assert flags.any() and not flags.all()
+
+
 def test_bulk_printable_ceiling():
     assert sequences.MAX_N == 64
     with pytest.raises(ValueError):
