@@ -184,7 +184,13 @@ def _build_parser() -> argparse.ArgumentParser:
     net.set_defaults(func=cmd_net)
 
     verify_ = sub.add_parser("verify", help="formula-vs-brute-force suites")
-    verify_.add_argument("--max-n", type=int, default=10, dest="max_n")
+    verify_.add_argument(
+        "--max-n",
+        type=int,
+        default=10,
+        dest="max_n",
+        help="largest n checked, at least 3; each suite stops at its own cap of 12 to 18",
+    )
     verify_.add_argument(
         "--paper-bracelet",
         action="store_true",

@@ -49,7 +49,12 @@ def _validate(s: Iterable[int]) -> SignSequence:
     t = tuple(s)
     if len(t) < 3:
         raise ValueError(f"sign sequences need length >= 3, got {len(t)}")
-    if any(a not in (1, -1) for a in t):
+    if set(map(type, t)) != {int}:
+        # numpy and other integer entries become ints; bool, float and the rest fail
+        if any(isinstance(a, bool) or not hasattr(type(a), "__index__") for a in t):
+            raise ValueError(f"sign sequences take entries +1/-1, got {t}")
+        t = tuple(map(operator.index, t))
+    if t.count(1) + t.count(-1) < len(t):
         raise ValueError(f"sign sequences take entries +1/-1, got {t}")
     return t
 
@@ -77,16 +82,12 @@ def _orbit(t: SignSequence) -> Iterable[SignSequence]:
             yield base[r:] + base[:r]
 
 
-_LEX_KEY = {1: 0, -1: 1}  # +1 sorts before -1
-
-
 def canonicalize(s: Iterable[int]) -> SignSequence:
-    """Lexicographically least orbit member with non-negative sum, +1 first."""
-    t = _validate(s)
-    return min(
-        (u for u in _orbit(t) if sum(u) >= 0),
-        key=lambda u: tuple(_LEX_KEY[a] for a in u),
-    )
+    """Lexicographically least orbit member with non-negative sum, +1 first.
+
+    As +1 > -1, that member is the greatest such tuple.
+    """
+    return max(u for u in _orbit(_validate(s)) if sum(u) >= 0)
 
 
 def extend(s: Iterable[int], i: int) -> SignSequence:
@@ -122,7 +123,10 @@ def invalid_reason(s: Iterable[int]) -> Optional[str]:
     By Lemma C below, s is valid exactly when it has an equal cyclically-adjacent
     pair and 3 divides its sum.
     """
-    t = _validate(s)
+    return _invalid_reason(_validate(s))
+
+
+def _invalid_reason(t: SignSequence) -> Optional[str]:
     if all(a != b for a, b in zip(t, t[1:] + t[:1])):
         return (
             "signs alternate, so no two adjacent triangles fold together; "
@@ -141,7 +145,7 @@ def is_valid(s: Iterable[int]) -> bool:
 def _require_valid(s: Iterable[int]) -> SignSequence:
     """s as a tuple; the one ValueError of every caller that needs a valid s."""
     t = _validate(s)
-    if not is_valid(t):
+    if _invalid_reason(t) is not None:
         raise ValueError(f"{t} is not a valid sign sequence")
     return t
 

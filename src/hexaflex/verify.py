@@ -11,9 +11,9 @@ paths honest.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import counting, geometry, labeling, render, sequences
 
@@ -40,40 +40,28 @@ def _bracelet_canon(bits: tuple[int, ...]) -> tuple[int, ...]:
     return min(min(_rotations(bits)), min(_rotations(bits[::-1])))
 
 
-@lru_cache(maxsize=None)
-def _dedupe_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(necklace, bracelet, lyndon) class counts by k, one exhaustive 2^n pass."""
-    necklaces: list[set] = [set() for _ in range(n + 1)]
-    bracelets: list[set] = [set() for _ in range(n + 1)]
-    lyndon: list[set] = [set() for _ in range(n + 1)]
-    for bits in product((0, 1), repeat=n):
-        k = sum(bits)
-        rots = _rotations(bits)
-        canon = min(rots)
-        necklaces[k].add(canon)
-        if len(set(rots)) == n:
-            lyndon[k].add(canon)
-        bracelets[k].add(min(canon, min(_rotations(bits[::-1]))))
-    return (
-        tuple(len(s) for s in necklaces),
-        tuple(len(s) for s in bracelets),
-        tuple(len(s) for s in lyndon),
-    )
+def _combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every binary string of length n with exactly k ones."""
+    for support in combinations(range(n), k):
+        bits = [0] * n
+        for j in support:
+            bits[j] = 1
+        yield tuple(bits)
 
 
 def brute_necklace_count(n: int, k: int) -> int:
     """Distinct cyclic-shift classes among binary strings with k ones."""
-    return _dedupe_tables(n)[0][k]
+    return len({min(_rotations(bits)) for bits in _combinations(n, k)})
 
 
 def brute_bracelet_count(n: int, k: int) -> int:
     """Distinct dihedral classes among binary strings with k ones."""
-    return _dedupe_tables(n)[1][k]
+    return len({_bracelet_canon(bits) for bits in _combinations(n, k)})
 
 
 def brute_lyndon_count(n: int, k: int) -> int:
     """Aperiodic cyclic-shift classes: all n rotations distinct."""
-    return _dedupe_tables(n)[2][k]
+    return len({min(r) for r in map(_rotations, _combinations(n, k)) if len(set(r)) == n})
 
 
 def brute_self_conjugate_count(n: int) -> int:
@@ -81,8 +69,7 @@ def brute_self_conjugate_count(n: int) -> int:
     if n % 2:
         raise ValueError(f"self-conjugate oracle needs even n, got {n}")
     seen = set()
-    for support in combinations(range(n), n // 2):
-        bits = tuple(1 if j in set(support) else 0 for j in range(n))
+    for bits in _combinations(n, n // 2):
         canon = _bracelet_canon(bits)
         if canon == _bracelet_canon(tuple(1 - b for b in bits)):
             seen.add(canon)
@@ -95,7 +82,7 @@ def naive_classes(n: int) -> list[tuple[int, ...]]:
     for signs in product((1, -1), repeat=n):
         if sequences.is_valid(signs):
             seen.add(sequences.canonicalize(signs))
-    return sorted(seen, key=lambda u: tuple(0 if a > 0 else 1 for a in u))
+    return sorted(seen, reverse=True)
 
 
 def reachable_classes(n: int) -> set[tuple[int, ...]]:
@@ -128,12 +115,6 @@ def _contract_chain(t: tuple[int, ...]) -> list[tuple[int, ...]]:
     return chain
 
 
-def _is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return len(a) == len(b) and any(
-        b[r:] + b[:r] == a for r in range(len(b))
-    )
-
-
 def naive_reduction_history(s: Iterable[int]) -> list[int]:
     """sequences.reduction_history by plain tuple moves: the slow reference.
 
@@ -141,10 +122,7 @@ def naive_reduction_history(s: Iterable[int]) -> list[int]:
     lands on all-minus), then recovers replay positions by matching each
     extension against the next chain entry up to rotation.
     """
-    t = sequences._validate(s)
-    if not sequences.is_valid(t):
-        raise ValueError(f"{t} is not a valid sign sequence")
-    chain = _contract_chain(t)
+    chain = _contract_chain(sequences._require_valid(s))
     if chain[-1] == (-1, -1, -1):
         chain = [tuple(-a for a in u) for u in chain]
     steps: list[int] = []
@@ -152,7 +130,7 @@ def naive_reduction_history(s: Iterable[int]) -> list[int]:
     for target in chain[-2::-1]:
         for i in range(1, len(cur) + 1):
             grown = sequences.extend(cur, i)
-            if _is_rotation(grown, target):
+            if grown in _rotations(target):
                 steps.append(i)
                 cur = grown
                 break
@@ -197,22 +175,14 @@ def blockwise_strip_labels(
 
 
 def naive_is_printable(signs: tuple[int, ...]) -> bool:
-    """Overlap test over all 4n orbit members, one laid strip each."""
-    result = False
-    for member in {
-        u
-        for base in (
-            signs,
-            signs[::-1],
-            tuple(-a for a in signs),
-            tuple(-a for a in signs[::-1]),
-        )
-        for u in (base[r:] + base[:r] for r in range(len(signs)))
-    }:
-        strip = geometry.lay_strip(member)
-        if len(set(strip.cells)) == len(strip.cells):
-            result = True
-    return result
+    """Overlap test over the 4n orbit members, one laid strip each, until one lays flat."""
+    reversed_ = sequences.reverse(signs)
+    for base in (signs, reversed_, sequences.invert(signs), sequences.invert(reversed_)):
+        for r in range(len(signs)):
+            strip = geometry.lay_strip(sequences.cyclic_shift(base, r))
+            if len(set(strip.cells)) == len(strip.cells):
+                return True
+    return False
 
 
 def naive_render_strip(

@@ -5,6 +5,8 @@ assert statement: limits and invariants must survive `python -O`.  The
 renderer, the labels, the closed forms and the CLI import no numpy, so the
 net path and the closed-form counts can one day run without it.  The closed
 forms import no other module of the package, so any of them can import them.
+No function is memoized but the CLI's parser, so the class ladder is the
+package's one data cache.
 """
 
 import ast
@@ -78,3 +80,26 @@ def test_counting_imports_no_other_package_module():
     # sequences imports counting, so counting importing any of them would risk a cycle
     modules = _imported_modules("counting.py")
     assert not {m for m in modules if m.startswith(".") or m.split(".")[0] == "hexaflex"}
+
+
+def _memoized_functions(tree: ast.Module) -> list[str]:
+    """Functions with a cache or lru_cache decorator, bare or as an attribute, called or not."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in ("cache", "lru_cache"):
+                    names.append(node.name)
+    return names
+
+
+def test_no_memoized_function_but_the_parser():
+    # cli._build_parser stays memoized: net ops build the parser on every run() call
+    memoized = {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _memoized_functions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert memoized == {"cli._build_parser"}

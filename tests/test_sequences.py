@@ -57,6 +57,32 @@ def test_entry_validation():
         canonicalize((1, 0, 1))
 
 
+def test_entries_are_integers_and_come_back_as_ints():
+    # bool and float entries fail the entry gate, as build_pattern's bool steps do;
+    # numpy integers pass and leave no numpy scalar in a result
+    calls = {
+        "canonicalize": canonicalize,
+        "extend": lambda s: extend(s, 1),
+        "invalid_reason": sequences.invalid_reason,
+        "reduction_history": reduction_history,
+        "lay_strip": lambda s: geometry.lay_strip(s).expanded_signs,
+    }
+    for signs in [(True, True, True), (1.0, 1.0, 1.0)]:
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=r"take entries \+1/-1"):
+                call(signs)
+                pytest.fail(f"{name} took {signs}")
+    results = {name: call(np.array([1, 1, 1])) for name, call in calls.items()}
+    assert results == {
+        "canonicalize": (1, 1, 1),
+        "extend": (-1, -1, 1, 1),
+        "invalid_reason": None,
+        "reduction_history": [],
+        "lay_strip": (1,) * 9,
+    }
+    assert {type(a) for result in results.values() if result for a in result} == {int}
+
+
 def test_canonicalize_examples():
     assert canonicalize((-1, -1, -1)) == (1, 1, 1)
     assert canonicalize((-1, 1, 1, -1)) == (1, 1, -1, -1)
