@@ -14,7 +14,8 @@ least one orbit representative lays all 3n cells on distinct positions.
 Inversion never changes the laid cells (the walk only looks at sign
 equality) and reversal lays a congruent strip, so the orbit quantifier
 reduces to the n cyclic shifts.  Most classes never reach the walk: by
-Lemma D below, five alternating signs in a row make a class unprintable.
+Lemma D below, five alternating signs in a row make a class unprintable, and
+by Lemma F, nine signs whose pairs read as a window of (u u u e e)^inf.
 """
 
 from __future__ import annotations
@@ -134,6 +135,19 @@ _MOVES = np.array([_STEP[t] << 4 | t for t in _NEXT], dtype=np.int32)
 # each sum to 0, so cell i + 5 is cell i - 1.  The strip's signs repeat with period n,
 # so a window of 3n path cells from cell r has such a run at some i in r + 1..r + n, and
 # i + 5 <= r + n + 5 <= r + 3n - 1 for n >= 3: every shift repeats a cell.
+#
+# Lemma F: a sequence with nine cyclically consecutive signs whose eight neighbour pairs
+# read as a window of (u u u e e)^inf, u an unequal pair and e an equal one, is not
+# printable.  In _walk, move m >= 2 turns direction a by the side s_m, and s_{m + 1} = -s_m
+# exactly when signs m - 1 and m are equal.  Let signs j + 1..j + 9 be the nine, with
+# j >= 0: their pairs take s_{j + 2} to s_{j + 3}..s_{j + 10}.  The window repeats with
+# period 5 and flips the side at two adjacent pairs of each period, so the turns
+# s_{j + 2}..s_{j + 10} repeat with period 5 and any five of them are four of one sign and
+# one of the other: they sum to 3 or -3.  So move m + 5 heads opposite move m for
+# m = j + 1..j + 5; _DX[a + 3] = -_DX[a] and _DY likewise, so the ten moves from cell j
+# cancel and cell j + 10 is cell j.  A window of 3n path cells from cell r has the nine
+# signs at some j + 1 in r + 1..r + n, and j + 10 <= r + n + 9 <= r + 3n - 1 for n >= 5:
+# every shift repeats a cell.  No valid sequence shorter than 8 has the nine signs.
 
 
 def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
@@ -144,8 +158,9 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     the index where cell p < n next recurs.  Cells p + n and q + n meet iff cells
     p and q do (the same signs lay them, turned or mirrored), so window r repeats
     a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
-    Rows with five alternating signs in a row are unprintable by Lemma D and
-    skip the walk.  sequences.class_rows sizes the blocks for the walk's keys.
+    Rows with five alternating signs in a row (Lemma D) or with Lemma F's nine
+    signs are unprintable and skip the walk.  sequences.class_rows sizes the
+    blocks for the walk's keys.
     """
     sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
@@ -155,9 +170,19 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
     unequal = masks ^ sequences._rotl(masks, n)  # bit n - 1 - k: signs k and k + 1 differ
-    run = unequal & sequences._rotl(unequal, n)
-    walked = np.flatnonzero((run & sequences._rotl(run, n, 2)) == 0)
-    del run
+    # pairs k + 1, k + 2 and k + 3, and two unequal pairs in a row from k and from k + 2
+    next1, next2, next3 = (sequences._rotl(unequal, n, s % n) for s in (1, 2, 3))
+    run, run2 = unequal & next1, next2 & next3
+    # Lemma F's nine signs from k are those whose signs k..k + 3 each differ from the sign
+    # five on (cyclically) and whose pairs k..k + 3 read uuue, uuee, ueeu, eeuu or euuu: a
+    # period of the window holds three u's, an odd count, which fixes pair k + 4 and makes
+    # pairs k + 5..k + 7 repeat pairs k..k + 2
+    apart = masks ^ sequences._rotl(masks, n, 5 % n)
+    apart &= sequences._rotl(apart, n)
+    apart &= sequences._rotl(apart, n, 2)
+    window = run & ~next3 | run2 & ~unequal | unequal & next3 & ~(next1 | next2)
+    walked = np.flatnonzero((run & run2 | apart & window) == 0)
+    del run, run2, next1, next2, next3, apart, window
     rows = len(walked)
     # (n, rows): row k is 12 where signs k and k + 1 (cyclically) of a walked class are equal
     equal12 = 12 * (((unequal[walked] >> shifts) & np.uint64(1)) == 0).astype(np.int32)

@@ -152,7 +152,8 @@ def _require_valid(s: Iterable[int]) -> SignSequence:
 
 # The contraction rule of reduction_history and _histories: contract at the
 # leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Three
-# lemmas let both kernels skip the sum, the ends and the wrapped pair.
+# lemmas let both kernels skip the sum, the ends and the wrapped pair; a
+# fourth, Lemma R, lets the class ladder skip most extensions.
 #
 # Lemma B: every valid sum is a multiple of 3, since the bases sum to +-3 and
 # an extension moves the sum by +-3.  A sequence whose only equal pair is the
@@ -176,6 +177,20 @@ def _require_valid(s: Iterable[int]) -> SignSequence:
 # end.  Else every other a is isolated.  t does not alternate inside (its
 # sum would be a, and s - 3a = -2a would break Lemma B), so it has an inner
 # (-a, -a) pair, which lies in 2 <= p <= L - 2 and keeps a_L = a_1 adjacent.
+#
+# Lemma R: every class at length n >= 4 has a member ext(p, i), with p the
+# canonical form of a class at length n - 1, whose new pair lies in a longest
+# cyclic run; so the ladder extends each parent only there (see _longest_run).
+# Take a member c of the class and an equal pair pi in a longest run of c; a
+# valid c has an equal pair.  By Lemma C, contracting pi fails only when c has
+# exactly three equal pairs, consecutive, and pi is the middle one; the first of
+# the three lies in the same run and contracts validly, so take it instead.
+# Rotate c so that pi does not wrap.  q = contract(c, pi) is valid, so its class
+# is at length n - 1, with canonical form p = sigma(q) for a rotation, reversal
+# or inversion sigma.  Extension commutes with these moves, and they keep every
+# run length: if sigma takes pi's merged entry to position i, ext(p, i) is the
+# image of c under the same move, and its new pair, the image of pi, lies in a
+# longest run.  _grow's count check, exactly H(n) classes, still checks every level.
 
 
 def reduction_history(s: Iterable[int]) -> list[int]:
@@ -245,7 +260,8 @@ class ClassRecord:
 #
 # A sequence is valid exactly when extension moves reach it from (1, 1, 1),
 # and extension commutes with the orbit operations, so level n holds the
-# canonical forms of every one-position extension of level n - 1.
+# canonical forms of the one-position extensions of level n - 1; by Lemma R,
+# of those whose new pair lies in a longest cyclic run.
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
 # per temporary array of _grow and of each kernel class_rows runs; it also sizes
@@ -341,33 +357,87 @@ def _extensions(x: np.ndarray, length: int) -> np.ndarray:
 
     The rows take x's word, and L must be below its bit width: position 1 sets bit L.
     """
-    out = np.empty((length, len(x)), dtype=x.dtype)
-    flipped = ~x
-    for row, b in zip(out, range(length - 1, -1, -1)):
-        # adding x's bits from b up lifts them one place; entry a, now at b + 1, and bit b take -a
-        np.bitwise_and(x, ((1 << 8 * x.itemsize) - 1) ^ ((1 << b) - 1), out=row)
-        row += x
-        row ^= 1 << (b + 1)
-        row |= flipped & (1 << b)
+    bits = 1 << np.arange(length - 1, -1, -1, dtype=x.dtype)[:, None]  # row k - 1: bit b = L - k
+    # adding x's bits above b lifts them one place and leaves entry a at b, below a 0; adding
+    # 1 at b then leaves (a, -a) at (b + 1, b), and flipping b + 1 leaves (-a, -a)
+    out = x & -(bits << 1)
+    out += x
+    out += bits
+    out ^= bits << 1
     return out
 
 
+def _longest_run(parent: np.ndarray, length: int) -> np.ndarray:
+    """Which extensions of each canonical parent keep their new pair in a longest run.
+
+    Row i - 1 of the (L, parents) bool result tests ext(p, i), whose new
+    pair (-a, -a) replaces a = a_i (Lemma R).  Its run r is the pair plus each
+    neighbouring run of sign -a.  The child's other runs are the parent's
+    runs, less those r takes in, which are shorter than r, and less the run
+    through i, which splits into two pieces.  So ext(p, i) is kept when r is
+    at least the parent's longest run, or, if i lies in the only longest
+    run, at least the second longest and both pieces.  A constant parent's
+    pieces meet round the wrap, L - 1 long, so only L = 3 keeps any.
+
+    A canonical parent that is not constant has a_L != a_1 (the largest
+    rotation starts a run of ones), so no run wraps: a carry from bit L - i + 1
+    up counts the equal pairs left of i, and one in the reversed word the
+    pairs right of it.  Every count is at most 2L + 3, which uint8 holds.
+    """
+    full = (1 << length) - 1
+    equal = parent ^ _rotl(parent, length)
+    equal ^= full  # bit L - i: a_i == a_{i+1}, with a_{L+1} = a_1
+    # row i - 1 carries from bit L - i + 1: in the word, through the equal pairs left of
+    # position i; in the reversal lifted a place, through those right of position L + 1 - i
+    pairs = np.array([equal, _bitrev(equal, length + 1)])
+    carry = pairs + ((1 << length) >> np.arange(length, dtype=parent.dtype)[:, None, None])
+    carry ^= pairs  # one bit for each pair the carry ran through, and one where it stopped
+    counts = np.bitwise_count(carry)
+    del carry  # so that the uint8 rows below can reuse its memory
+    counts -= 1
+    left, right = counts[:, 0], counts[::-1, 1]  # equal pairs left and right of position i
+    # the run through each position, between copies of the last and first rows
+    ring = np.empty((length + 2, len(parent)), dtype=np.uint8)
+    run = ring[1:-1]
+    np.add(left, right, out=run)
+    run += 1
+    ring[0] = run[-1]
+    ring[-1] = run[0]
+    longest = run.max(axis=0)
+    only = run == longest
+    only &= only.sum(axis=0, dtype=np.uint8) == longest  # in the only longest run
+    second = (run * (run < longest)).max(axis=0)
+    # r: the run before joins where i starts its run, and the run after where i ends it
+    r = ring[:-2] * (left == 0)
+    r += ring[2:] * (right == 0)
+    r += 2
+    bound = np.maximum(left, right)
+    np.maximum(bound, second, out=bound)
+    keep = r >= np.where(only, bound, longest)
+    keep[:, equal == full] = length <= 3  # constant parents, whose carries may also wrap
+    return keep
+
+
 def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
-    """Ascending distinct canonical forms of every one-position extension of parent.
+    """Ascending distinct canonical forms of parent's extensions that _longest_run keeps.
 
     parent and the result are uint64; in between, the candidates are in the
     narrowest word that holds n bits (uint32 measured faster at every n it holds).
     """
     word = np.uint32 if n <= 32 else np.uint64
     mask = (1 << n) - 1
-    x = _sorted_unique(_extensions(parent.astype(word, copy=False), n - 1))
+    narrow = parent.astype(word, copy=False)
+    keep = _longest_run(narrow, n - 1)
+    x = _sorted_unique(_extensions(narrow, n - 1)[keep])
     # canonical forms have non-negative sum: complement negative sums, and
     # let a zero sum also try its complement; uint8 holds twice up to 64 ones
     twice_ones = np.bitwise_count(x) << 1
     np.bitwise_xor(x, mask, out=x, where=twice_ones < n)
     zero = twice_ones == n
-    best = _orbit_max(x, n)
-    best[zero] = np.maximum(best[zero], _orbit_max(x[zero] ^ mask, n))
+    # one orbit pass over the candidates and the complements of the zero-sum ones
+    both = _orbit_max(np.concatenate([x, x[zero] ^ mask]), n)
+    best = both[: len(x)]
+    best[zero] = np.maximum(best[zero], both[len(x) :])
     return _sorted_unique(best).astype(np.uint64, copy=False)
 
 
@@ -429,7 +499,7 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 
 
 def _rotl(x: np.ndarray, length: int, r: int | np.ndarray = 1) -> np.ndarray:
-    """Length-L masks rotated left by 0 < r < L, in x's word; an (R, 1) column r gives R rows."""
+    """Length-L masks rotated left by 0 <= r < L, in x's word; an (R, 1) column r gives R rows."""
     return ((x << r) | (x >> (length - r))) & ((1 << length) - 1)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "brute_self_conjugate_count",
     "naive_classes",
     "reachable_classes",
+    "naive_longest_run_positions",
     "naive_reduction_history",
     "blockwise_strip_labels",
     "naive_is_printable",
@@ -95,6 +96,27 @@ def reachable_classes(n: int) -> set[tuple[int, ...]]:
                 grown.add(sequences.canonicalize(sequences.extend(signs, i)))
         level = grown
     return level
+
+
+def naive_longest_run_positions(s: Iterable[int]) -> list[int]:
+    """Positions i whose extension puts the new pair in a longest cyclic run of the child.
+
+    The run lengths are read off the child by walking it from a run boundary.
+    """
+    t = tuple(s)
+    positions = []
+    for i in range(1, len(t) + 1):
+        child = sequences.extend(t, i)
+        m = len(child)
+        lengths = [m] * m  # a constant child is one run
+        boundaries = [k for k in range(m) if child[k] != child[k - 1]]
+        for start, end in zip(boundaries, boundaries[1:] + boundaries[:1]):
+            run = (end - start) % m
+            for k in range(start, start + run):
+                lengths[k % m] = run
+        if lengths[i - 1] == max(lengths):
+            positions.append(i)
+    return positions
 
 
 def _contract_chain(t: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -347,6 +369,7 @@ def _suite_printable(max_n: int) -> None:
 
 
 def _suite_lemma(max_n: int) -> None:
+    below: set[tuple[int, ...]] = set()
     for n in range(3, min(max_n, 12) + 1):
         valid = set(naive_classes(n))
         reachable = reachable_classes(n)
@@ -354,6 +377,14 @@ def _suite_lemma(max_n: int) -> None:
             valid == reachable,
             f"Lemma: n={n} validity/reachability differ by {valid ^ reachable}",
         )
+        if below:  # Lemma R: the longest-run extensions of the classes below reach them all
+            reached = {
+                sequences.canonicalize(sequences.extend(p, i))
+                for p in below
+                for i in naive_longest_run_positions(p)
+            }
+            _check(reached == valid, f"Lemma R: n={n} classes differ by {valid ^ reached}")
+        below = valid
 
 
 def _suite_labeling(max_n: int) -> None:

@@ -169,6 +169,67 @@ def test_five_alternating_signs_never_lay_flat():
     assert tight == {6, *range(8, 15)}
 
 
+def _pattern_start(bits: str, length: int) -> int:
+    """Where length cyclically consecutive pairs of bits first read as a window of (uuuee)^inf.
+
+    u is an unequal pair and e an equal one; -1 where no window starts.
+    """
+    pairs = "".join("u" if a != b else "e" for a, b in zip(bits, bits[1:] + bits[:1]))
+    ring = pairs * (length // len(bits) + 2)
+    windows = {("uuuee" * 3)[phase : phase + length] for phase in range(5)}
+    return next((k for k in range(len(bits)) if ring[k : k + length] in windows), -1)
+
+
+def test_nine_signs_of_lemma_f_never_lay_flat():
+    # Lemma F (above geometry.bulk_printable) from the walk alone, for every valid string
+    # of length 3..14: eight pairs from q that read as a window send cell j + 10 back to
+    # cell j, where j + 1 = q (or n, for q = 0)
+    found, tight = set(), set()
+    for n in range(3, 15):
+        for digits in product("10", repeat=n):
+            bits = "".join(digits)
+            signs = _signs(bits)
+            if not is_valid(signs):
+                continue
+            q = _pattern_start(bits, 8)
+            if q >= 0:
+                found.add(n)
+                j = (q or n) - 1
+                cells = geometry._walk(signs * 3)
+                assert cells[j] == cells[j + 10], signs
+                assert not is_printable(signs), signs
+            elif _pattern_start(bits, 7) >= 0 and is_printable(signs):
+                tight.add(n)
+    assert found == {8, *range(10, 15)}  # none below 8, as the lemma's last line says
+    # seven pairs do not suffice: the window cannot be shorter
+    assert tight == {10, 12, 13, 14}
+
+
+class _RowCounter:
+    """geometry._MOVES with a count of the rows each bulk_printable walk steps."""
+
+    def __init__(self, moves: np.ndarray) -> None:
+        self.moves, self.rows = moves, []
+
+    def take(self, codes: np.ndarray) -> np.ndarray:
+        self.rows.append(len(codes))
+        return self.moves.take(codes)
+
+
+def test_lemmas_d_and_f_leave_few_rows_to_walk(monkeypatch):
+    # no output shows which rows skip the walk, so pin their count at n = 20: of the
+    # 4643 classes, Lemmas D and F leave 1784 to walk
+    n = 20
+    counter = _RowCounter(geometry._MOVES)
+    monkeypatch.setattr(geometry, "_MOVES", counter)
+    walked = 0
+    for _ in sequences.class_rows(n):
+        walked += counter.rows[0]
+        assert len(counter.rows) == 4 * n - 3  # one take per step of the walk
+        counter.rows.clear()
+    assert hexaflexagon_count(n) == 4643 and walked == 1784
+
+
 def test_printable_class_count_small():
     for n in range(3, 15):
         assert printable_class_count(n) == KNOWN_COUNTS[n][1]

@@ -24,7 +24,12 @@ from hexaflex.sequences import (
     reverse,
     signs_from_mask,
 )
-from hexaflex.verify import naive_classes, naive_reduction_history, reachable_classes
+from hexaflex.verify import (
+    naive_classes,
+    naive_longest_run_positions,
+    naive_reduction_history,
+    reachable_classes,
+)
 
 from reference_table import paper_sum_set
 
@@ -378,7 +383,8 @@ def test_ladder_cardinality():
 
 
 def test_ladder_step_at_full_mask_width():
-    # one parent of length 63 extended to 64 bits, against the tuple-level canonical form
+    # one parent of length 63 extended to 64 bits, against the tuple-level canonical forms
+    # of the extensions whose new pair lies in a longest run (Lemma R)
     signs = (1, 1, 1)
     rng = np.random.default_rng(3)
     while len(signs) < 63:
@@ -386,8 +392,10 @@ def test_ladder_step_at_full_mask_width():
     parent = canonicalize(signs)
     to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
     grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), 64)
-    expected = {to_mask(canonicalize(extend(parent, i))) for i in range(1, 64)}
+    kept = naive_longest_run_positions(parent)
+    expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
     assert grown.tolist() == sorted(expected)
+    assert expected <= {to_mask(canonicalize(extend(parent, i))) for i in range(1, 64)}
 
 
 class _OneWord(np.ndarray):
@@ -418,14 +426,30 @@ def test_ladder_step_across_the_word_switch():
             signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
         parent = canonicalize(signs)
         grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), n)
-        expected = {to_mask(canonicalize(extend(parent, i))) for i in range(1, n)}
+        kept = naive_longest_run_positions(parent)  # Lemma R
+        expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
         assert grown.dtype == np.uint64
         assert grown.tolist() == sorted(expected), n
+        assert expected <= {to_mask(canonicalize(extend(parent, i))) for i in range(1, n)}
         if n <= 32:  # the narrow extensions, each in its own row
             narrow = np.array([to_mask(parent)], dtype=np.uint32).view(_OneWord)
             rows = sequences._extensions(narrow, n - 1)
             assert rows.dtype == np.uint32
             assert rows[:, 0].tolist() == [to_mask(extend(parent, i)) for i in range(1, n)]
+
+
+def test_ladder_keeps_only_longest_run_extensions(monkeypatch):
+    # no output shows the pruning, so pin its count: level 19 has 2385 parents and
+    # 19 * 2385 = 45315 extensions, of which Lemma R keeps 22062 for the orbit pass
+    parent = canonical_masks(19)
+    sizes = []
+    sorted_unique = sequences._sorted_unique
+    monkeypatch.setattr(
+        sequences, "_sorted_unique", lambda x: sizes.append(x.size) or sorted_unique(x)
+    )
+    grown = sequences._canonical_extensions(parent, 20)
+    assert sizes[0] == 22062
+    assert len(grown) == hexaflexagon_count(20) and grown.dtype == np.uint64
 
 
 def test_extensions_match_extend_in_each_word():
