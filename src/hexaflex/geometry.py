@@ -120,10 +120,30 @@ def is_printable(s: Iterable[int]) -> bool:
 
 
 # A walk state is a + 6 * (exit side is right); equal signs before a move flip the side.
-# _MOVES[12 * equal + state] = _STEP[next] << 4 | next; _STEP moves the key's cell by a, j by 1.
+# _NEXT[12 * equal + state] is the next state; _STEP[state] moves the key's cell by a, j by 1.
+# _CHUNK_TABLE makes k = _CHUNK_STEPS moves: column 12 * e + state starts at state and reads
+# pair i from bit k - 1 - i of e, set where its signs are equal.  Row i < k is the key offset
+# after i + 1 moves and row k the state after k.  Built in plain Python as one flat list, it
+# adds about 25 KiB to the peak RSS of every command's import; built by numpy calls, or from
+# a list of rows, it added 0.25 MiB.
 _NEXT = [(i + 1 - 2 * d) % 6 + 6 * d for i in range(24) for d in [i // 6 % 2 ^ i // 12]]
 _STEP = [(x << _COORD_BITS + _INDEX_BITS) + (y << _INDEX_BITS) + 1 for x, y in zip(_DX, _DY)] * 2
-_MOVES = np.array([_STEP[t] << 4 | t for t in _NEXT], dtype=np.int32)
+_CHUNK_STEPS = 6
+
+
+def _chunk_table(k: int) -> list[int]:
+    """The k-move walk table, row after row, grown one pair at a time."""
+    state, key, table = list(range(12)), [0] * 12, []
+    for i in range(k):
+        # window 2e + b from state s goes on from column 12e + s of window e, by pair b
+        state = [_NEXT[12 * (j // 12 & 1) + state[j // 24 * 12 + j % 12]] for j in range(24 << i)]
+        key = [key[j // 24 * 12 + j % 12] + _STEP[t] for j, t in enumerate(state)]
+        # row i: each window's key begins 2 ** (k - 1 - i) adjacent k-pair windows
+        table += [x for c in range(0, len(key), 12) for x in key[c : c + 12] * (1 << k - 1 - i)]
+    return table + state
+
+
+_CHUNK_TABLE = np.array(_chunk_table(_CHUNK_STEPS), dtype=np.int32).reshape(_CHUNK_STEPS + 1, -1)
 
 
 # Lemma D: a sequence with five cyclically consecutive alternating signs (four unequal
@@ -159,14 +179,14 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     p and q do (the same signs lay them, turned or mirrored), so window r repeats
     a cell iff g[p] < r + 3n for a p >= r or g[p] + n < r + 3n for a p < r.
     Rows with five alternating signs in a row (Lemma D) or with Lemma F's nine
-    signs are unprintable and skip the walk.  sequences.class_rows sizes the
-    blocks for the walk's keys.
+    signs are unprintable and skip the walk.  The rest walk _CHUNK_STEPS moves
+    per take: one column of _CHUNK_TABLE per row gives the chunk's key offsets
+    and its last state.  sequences.class_rows sizes the blocks for the walk's keys.
     """
     sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
     masks = np.asarray(masks, dtype=np.uint64)
     out = np.zeros(len(masks), dtype=bool)  # the rows Lemma D decides stay False
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
     unequal = masks ^ sequences._rotl(masks, n)  # bit n - 1 - k: signs k and k + 1 differ
@@ -184,17 +204,23 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     walked = np.flatnonzero((run & run2 | apart & window) == 0)
     del run, run2, next1, next2, next3, apart, window
     rows = len(walked)
-    # (n, rows): row k is 12 where signs k and k + 1 (cyclically) of a walked class are equal
-    equal12 = 12 * (((unequal[walked] >> shifts) & np.uint64(1)) == 0).astype(np.int32)
+    # (n, rows): row p is 12 * e for the chunk from pair p (cyclically) of each walked class
+    equal = (unequal[walked] ^ ((1 << n) - 1)).astype(np.uint32 if n <= 32 else np.uint64)
     del unequal  # like run, before the walk: kept, they fragment the heap (+4 MiB peak RSS)
+    length = n * -(-_CHUNK_STEPS // n)  # a cycle shorter than a chunk is repeated
+    equal *= sum(1 << i for i in range(0, length, n))
+    codes = sequences._rotl(equal, length, np.arange(n, dtype=equal.dtype)[:, None])
+    codes = (codes >> (length - _CHUNK_STEPS)).astype(np.int32)
+    codes *= 12
     walk = np.empty((path_len, rows), dtype=np.int32)  # walk[j]: the keys of cell j
     walk[0] = (1 + _ORIGIN) << (_COORD_BITS + _INDEX_BITS) | (1 + _ORIGIN) << _INDEX_BITS
     walk[1] = walk[0] + _STEP[0]
     state = np.zeros(rows, dtype=np.int32)
-    for j in range(2, path_len):
-        code = _MOVES.take(equal12[(j - 2) % n] + state)
-        state = code & 15
-        np.add(walk[j - 1], code >> 4, out=walk[j])
+    for j in range(2, path_len, _CHUNK_STEPS):
+        step = _CHUNK_TABLE.take(codes[(j - 2) % n] + state, axis=1)
+        m = min(_CHUNK_STEPS, path_len - j)
+        np.add(walk[j - 1], step[:m], out=walk[j : j + m])
+        state = step[_CHUNK_STEPS]
     # the scan reuses the walk's buffer, dead once copied, as fresh block-sized temporaries
     # are fresh pages each block; ascontiguousarray(walk.T) would be walk itself for one row
     keys = walk.T.copy()

@@ -205,29 +205,72 @@ def test_nine_signs_of_lemma_f_never_lay_flat():
     assert tight == {10, 12, 13, 14}
 
 
-class _RowCounter:
-    """geometry._MOVES with a count of the rows each bulk_printable walk steps."""
+class _TakeRecorder:
+    """geometry._CHUNK_TABLE that keeps what each bulk_printable chunk takes from it."""
 
-    def __init__(self, moves: np.ndarray) -> None:
-        self.moves, self.rows = moves, []
+    def __init__(self, table: np.ndarray) -> None:
+        self.table, self.takes = table, []
 
-    def take(self, codes: np.ndarray) -> np.ndarray:
-        self.rows.append(len(codes))
-        return self.moves.take(codes)
+    def take(self, codes: np.ndarray, axis: int) -> np.ndarray:
+        self.takes.append(self.table.take(codes, axis=axis))
+        return self.takes[-1]
 
 
 def test_lemmas_d_and_f_leave_few_rows_to_walk(monkeypatch):
     # no output shows which rows skip the walk, so pin their count at n = 20: of the
     # 4643 classes, Lemmas D and F leave 1784 to walk
     n = 20
-    counter = _RowCounter(geometry._MOVES)
-    monkeypatch.setattr(geometry, "_MOVES", counter)
+    recorder = _TakeRecorder(geometry._CHUNK_TABLE)
+    monkeypatch.setattr(geometry, "_CHUNK_TABLE", recorder)
     walked = 0
     for _ in sequences.class_rows(n):
-        walked += counter.rows[0]
-        assert len(counter.rows) == 4 * n - 3  # one take per step of the walk
-        counter.rows.clear()
+        walked += recorder.takes[0].shape[1]
+        # one take per chunk of the walk's 4n - 3 steps, the last one partial
+        assert len(recorder.takes) == -(-(4 * n - 3) // geometry._CHUNK_STEPS)
+        recorder.takes.clear()
     assert hexaflexagon_count(n) == 4643 and walked == 1784
+
+
+def test_walk_chunk_table_matches_single_steps():
+    # column 12 * e + state holds the walk from state over the k pairs of e, the first pair
+    # at e's highest bit: the key offsets after 1..k single steps, then the state after k
+    k, table = geometry._CHUNK_STEPS, geometry._CHUNK_TABLE
+    assert table.shape == (k + 1, 12 << k) and table.dtype == np.int32
+    for column in range(12 << k):
+        e, state = divmod(column, 12)
+        key, expected = 0, []
+        for i in range(k):
+            state = geometry._NEXT[12 * (e >> k - 1 - i & 1) + state]
+            key += geometry._STEP[state]
+            expected.append(key)
+        assert table[:, column].tolist() == expected + [state], column
+    assert 0 <= table[k].min() and table[k].max() <= 11
+
+
+def test_walk_chunks_follow_the_scalar_walk(monkeypatch):
+    # printability holds for every shift, so a walk of a shifted sequence gives the same
+    # flags: check each chunk's key offsets against _walk's cells instead.  Printable
+    # classes skip no walk, so row r of each take is class r; n = 3..14 covers n < k,
+    # n = k and n = k + 1
+    k = geometry._CHUNK_STEPS
+    x_shift, y_shift = geometry._COORD_BITS + geometry._INDEX_BITS, geometry._INDEX_BITS
+    recorder = _TakeRecorder(geometry._CHUNK_TABLE)
+    for n in range(3, 15):
+        masks = canonical_masks(n)
+        masks = masks[bulk_printable(masks, n)]
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_CHUNK_TABLE", recorder)
+            assert bulk_printable(masks, n).all()
+        path_len = 4 * n - 1
+        assert len(recorder.takes) == -(-(path_len - 2) // k)
+        for row, mask in enumerate(masks.tolist()):
+            cells = geometry._walk((sequences.signs_from_mask(mask, n) * 4)[:path_len])
+            for chunk, step in enumerate(recorder.takes):
+                j = 2 + chunk * k  # the chunk's first cell; its offsets are from cell j - 1
+                for i in range(min(k, path_len - j)):
+                    (x, y), (x0, y0) = cells[j + i], cells[j - 1]
+                    assert step[i, row] == (x - x0 << x_shift) + (y - y0 << y_shift) + i + 1
+        recorder.takes.clear()
 
 
 def test_printable_class_count_small():
