@@ -185,7 +185,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     """
     sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
-    masks = np.asarray(masks, dtype=np.uint64)
+    masks = np.asarray(masks).astype(sequences._word(n), copy=False)
     out = np.zeros(len(masks), dtype=bool)  # the rows Lemma D decides stay False
     index_mask = (1 << _INDEX_BITS) - 1
     r = np.arange(n, dtype=np.int16)[:, None]
@@ -205,7 +205,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     del run, run2, next1, next2, next3, apart, window
     rows = len(walked)
     # (n, rows): row p is 12 * e for the chunk from pair p (cyclically) of each walked class
-    equal = (unequal[walked] ^ ((1 << n) - 1)).astype(np.uint32 if n <= 32 else np.uint64)
+    equal = unequal[walked] ^ ((1 << n) - 1)
     del unequal  # like run, before the walk: kept, they fragment the heap (+4 MiB peak RSS)
     length = n * -(-_CHUNK_STEPS // n)  # a cycle shorter than a chunk is repeated
     equal *= sum(1 << i for i in range(0, length, n))

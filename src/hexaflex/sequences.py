@@ -253,10 +253,8 @@ class ClassRecord:
 # Class ladder.  Sequences are packed into bitmasks (a_1 at the MSB, bit 1 =
 # +1), so a class's canonical form is its largest orbit mask with
 # non-negative sum.  Rotating left by r in sequence terms is a left
-# bit-rotation; reversal is a bit reversal; inversion is complement.  Levels
-# are uint64; the candidate kernels work in the word of their input array,
-# with Python int scalars, which take that word (NEP 50) where a numpy scalar
-# of another width would widen it.
+# bit-rotation; reversal is a bit reversal; inversion is complement.  For
+# the word of each level and of every kernel, see _word.
 #
 # A sequence is valid exactly when extension moves reach it from (1, 1, 1),
 # and extension commutes with the orbit operations, so level n holds the
@@ -265,11 +263,21 @@ class ClassRecord:
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
 # per temporary array of _grow and of each kernel class_rows runs; it also sizes
-# _orbit_max's chunks, whose temporaries take an eighth of it (uint64) or a
-# sixteenth (uint32), in cache
+# _orbit_max's chunks, whose temporaries of _BLOCK_BYTES // 64 masks stay in cache
 _BLOCK_BYTES = 1 << 21
 
-_LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=np.uint64)}
+
+def _word(n: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned word that holds n bits: uint32 up to n = 32, uint64 above.
+
+    Each level is kept in the word of its n, which halves the bytes a kernel streams up to
+    n = 32.  Kernels keep their input's word: Python int scalars take it (NEP 50) where a
+    numpy scalar of another width would widen it.  A level is widened only to grow n = 33.
+    """
+    return np.uint32 if n <= 32 else np.uint64
+
+
+_LADDER: dict[int, np.ndarray] = {3: np.array([0b111], dtype=_word(3))}
 _LADDER[3].flags.writeable = False
 
 
@@ -419,16 +427,11 @@ def _longest_run(parent: np.ndarray, length: int) -> np.ndarray:
 
 
 def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
-    """Ascending distinct canonical forms of parent's extensions that _longest_run keeps.
-
-    parent and the result are uint64; in between, the candidates are in the
-    narrowest word that holds n bits (uint32 measured faster at every n it holds).
-    """
-    word = np.uint32 if n <= 32 else np.uint64
+    """Ascending distinct canonical forms of the extensions _longest_run keeps, in _word(n)."""
     mask = (1 << n) - 1
-    narrow = parent.astype(word, copy=False)
-    keep = _longest_run(narrow, n - 1)
-    x = _sorted_unique(_extensions(narrow, n - 1)[keep])
+    parent = parent.astype(_word(n), copy=False)
+    keep = _longest_run(parent, n - 1)
+    x = _sorted_unique(_extensions(parent, n - 1)[keep])
     # canonical forms have non-negative sum: complement negative sums, and
     # let a zero sum also try its complement; uint8 holds twice up to 64 ones
     twice_ones = np.bitwise_count(x) << 1
@@ -438,7 +441,7 @@ def _canonical_extensions(parent: np.ndarray, n: int) -> np.ndarray:
     both = _orbit_max(np.concatenate([x, x[zero] ^ mask]), n)
     best = both[: len(x)]
     best[zero] = np.maximum(best[zero], both[len(x) :])
-    return _sorted_unique(best).astype(np.uint64, copy=False)
+    return _sorted_unique(best)
 
 
 def _grow(parent: np.ndarray, n: int) -> np.ndarray:
@@ -450,7 +453,7 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     underfills the buffer raises ArithmeticError, the ladder's one count check.
     """
     block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
-    level = np.empty(hexaflexagon_count(n), dtype=np.uint64)
+    level = np.empty(hexaflexagon_count(n), dtype=_word(n))
     size = 0
     for start in range(0, len(parent), block):
         new = _canonical_extensions(parent[start : start + block], n)
@@ -493,9 +496,7 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 # Histories and labels of a whole level.  _histories follows the rule of
 # reduction_history and _labels that of build_pattern, on the ladder's masks:
 # position p of a length-L mask sits at bit L - p, so the leftmost valid
-# position is the highest valid bit.  _rotl and _contract work in the word of
-# their input, and _histories in uint32 where n fits, as the ladder's candidates
-# do: every step streams (L, rows) words, and half-width words halve its bytes.
+# position is the highest valid bit.  Masks keep their word (see _word).
 
 
 def _rotl(x: np.ndarray, length: int, r: int | np.ndarray = 1) -> np.ndarray:
@@ -529,13 +530,11 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     Every row is contracted down to length 3 together, never at the wrapped
     pair (see the lemmas above reduction_history); the replay then
     compares all L extensions of each row with the L + 1 rotations of its
-    next chain entry and takes the first match.  The chain and the replay
-    are in uint32 words for n <= 32, else uint64.
+    next chain entry and takes the first match, all in the word of n (see _word).
     """
     # int8 holds every step and label, each <= n
     check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
-    word = np.uint32 if n <= 32 else np.uint64
-    chain = [np.asarray(masks, dtype=np.uint64).astype(word, copy=False)]
+    chain = [np.asarray(masks).astype(_word(n), copy=False)]
     # contractions move a sum by 3, so one check here covers every length (Lemma C)
     if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
         raise ValueError(f"a length-{n} mask has a sum that is not a multiple of 3")
@@ -549,7 +548,8 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
         grown = _extensions(cur, length)
         match = grown == target
         hit = np.empty_like(match)
-        for rotation in _rotl(target, length + 1, np.arange(1, length + 1, dtype=word)[:, None]):
+        rotations = np.arange(1, length + 1, dtype=cur.dtype)[:, None]
+        for rotation in _rotl(target, length + 1, rotations):
             match |= np.equal(grown, rotation, out=hit)
         # row k weighs L - k, so the first match weighs most: unlike argmax(axis=0), a max
         # down the rows runs a row at a time, not a strided scan of each column
@@ -624,7 +624,7 @@ def class_jsonl(n: int, *, labels: bool = False) -> Iterator[str]:
     a fixed-width run of columns taken from a table padded with NUL; one
     translate drops the NULs.
     """
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    shifts = np.arange(n - 1, -1, -1, dtype=_word(n))
     sum_text = _text_table("{}", range(-n, n + 1))  # indexed by the sum plus n
     flag_text = np.array([b"false", b"true"])
     label_text = _text_table("{}, ", range(n + 1))  # indexed by the label
@@ -632,7 +632,7 @@ def class_jsonl(n: int, *, labels: bool = False) -> Iterator[str]:
     for chunk, sums, flags, faces in class_rows(n, labels=labels):
         fields = [
             _fixed(f'{{"n": {n}, "signs": "'),
-            _SIGN_BYTES.take((chunk[:, None] >> shifts) & np.uint64(1)),
+            _SIGN_BYTES.take((chunk[:, None] >> shifts) & 1),
             _fixed('", "sum": '),
             sum_text.take(sums[:, None] + n),
             _fixed(', "printable": '),

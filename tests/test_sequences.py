@@ -372,7 +372,7 @@ def test_enumerate_matches_naive_scan():
 def test_ladder_matches_naive_scan_in_order():
     for n in range(3, 13):
         masks = canonical_masks(n)
-        assert masks.dtype == np.uint64
+        assert masks.dtype == sequences._word(n)
         assert [signs_from_mask(m, n) for m in masks.tolist()] == naive_classes(n)
 
 
@@ -417,7 +417,8 @@ class _OneWord(np.ndarray):
 
 
 def test_ladder_step_across_the_word_switch():
-    # one parent each side of the uint32/uint64 switch in _canonical_extensions
+    # one parent each side of the uint32/uint64 switch, in uint64 and in the word of its
+    # length: at n = 33 the one widening, a uint32 parent grown into uint64 forms
     rng = np.random.default_rng(31)
     to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
     for n in (31, 32, 33):
@@ -425,11 +426,12 @@ def test_ladder_step_across_the_word_switch():
         while len(signs) < n - 1:
             signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
         parent = canonicalize(signs)
-        grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), n)
         kept = naive_longest_run_positions(parent)  # Lemma R
         expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
-        assert grown.dtype == np.uint64
-        assert grown.tolist() == sorted(expected), n
+        for word in (np.uint64, sequences._word(n - 1)):
+            grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=word), n)
+            assert grown.dtype == sequences._word(n)
+            assert grown.tolist() == sorted(expected), (n, word)
         assert expected <= {to_mask(canonicalize(extend(parent, i))) for i in range(1, n)}
         if n <= 32:  # the narrow extensions, each in its own row
             narrow = np.array([to_mask(parent)], dtype=np.uint32).view(_OneWord)
@@ -449,7 +451,7 @@ def test_ladder_keeps_only_longest_run_extensions(monkeypatch):
     )
     grown = sequences._canonical_extensions(parent, 20)
     assert sizes[0] == 22062
-    assert len(grown) == hexaflexagon_count(20) and grown.dtype == np.uint64
+    assert len(grown) == hexaflexagon_count(20) and grown.dtype == sequences._word(20)
 
 
 def test_extensions_match_extend_in_each_word():
