@@ -73,15 +73,10 @@ def binomial(a: int, b: int) -> int:
 
 
 def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    divisors = [1]
+    for p, e in _prime_factors(m):
+        divisors = [d * p**j for d in divisors for j in range(e + 1)]
+    return divisors
 
 
 def _check_args(n: int, k: int) -> tuple[int, int]:

@@ -19,6 +19,8 @@ from hexaflex.cli import run
 from hexaflex.counting import hexaflexagon_count
 from hexaflex.sequences import enumerate_classes
 
+from support import grown_to, shuffled, to_mask
+
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,20 +148,39 @@ def test_enumerate_matches_json_dumps(capsys, with_labels):
 DIGESTS = json.loads((Path(__file__).parent / "stdout_digests.json").read_text())
 
 
-@pytest.mark.parametrize("command", DIGESTS)
-def test_stdout_matches_recorded_digest(command):
-    # every stdout that must stay byte-identical.  Some entries reach past the
-    # other tests: levels 27 and 28 grow from uint32 candidate words,
-    # enumerate --n 26 flags every row of the level with the most printability
-    # blocks, and enumerate --n 24 --with-labels replays every history at the cap
+def _assert_recorded_stdout(command: str, *flags: str) -> None:
+    """Run `python -W error <flags> -m hexaflex <command>` and check it against the registry.
+
+    It must exit 0 with an empty stderr and the recorded stdout.  -W error turns any
+    warning into an error, as tier-1's filterwarnings does, also a DeprecationWarning
+    that a plain run would not print.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "hexaflex"] + command.split(), capture_output=True, env=env
+        [sys.executable, "-W", "error", *flags, "-m", "hexaflex"] + command.split(),
+        capture_output=True,
+        env=env,
+        timeout=120,  # a hung command fails here, named, not at CI's job limit
     )
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout.count(b"\n") == DIGESTS[command]["lines"]
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[command]["sha256"]
+
+
+@pytest.mark.parametrize("command", DIGESTS)
+def test_stdout_matches_recorded_digest(command):
+    # every stdout that must stay byte-identical.  Some entries reach past the
+    # other tests: levels 27 and 28 grow from uint32 candidate words,
+    # enumerate --n 26 flags every row of the level with the most printability
+    # blocks, enumerate --n 24 --with-labels replays every history at the cap,
+    # and verify --max-n 18 runs every verify suite to its own cap
+    _assert_recorded_stdout(command)
+
+
+def test_verify_holds_with_asserts_stripped():
+    # -O drops every assert statement; each verify check must still hold without them
+    _assert_recorded_stdout("verify --max-n 18", "-O")
 
 
 def test_benchmark_expected_matches_the_registry():
@@ -169,19 +190,10 @@ def test_benchmark_expected_matches_the_registry():
 
 
 def _orbit_members(n: int, seed: int) -> list[tuple[int, ...]]:
-    """Valid length-n sequences: random extensions of (1, 1, 1), each shifted and
-    maybe reversed and inverted, plus the largest valid sum and its negative."""
+    """Valid length-n sequences: random extensions of (1, 1, 1), each maybe reversed
+    and inverted, then shifted, plus the largest valid sum and its negative."""
     rng = random.Random(seed)
-    members = []
-    for _ in range(40):
-        signs = (1, 1, 1)
-        while len(signs) < n:
-            signs = sequences.extend(signs, rng.randint(1, len(signs)))
-        if rng.random() < 0.5:
-            signs = sequences.reverse(signs)
-        if rng.random() < 0.5:
-            signs = sequences.invert(signs)
-        members.append(sequences.cyclic_shift(signs, rng.randrange(n)))
+    members = [shuffled(grown_to(n, rng), rng, "ris") for _ in range(40)]
     minus = next(k for k in range(n) if (n - 2 * k) % 3 == 0)
     top = (-1,) * minus + (1,) * (n - minus)
     return members + [top, sequences.invert(top)]
@@ -192,8 +204,7 @@ def _orbit_members(n: int, seed: int) -> list[tuple[int, ...]]:
 def test_class_jsonl_matches_json_dumps_at_the_field_widths(monkeypatch, n, with_labels):
     # two-digit labels up to 64 and sums from -63 to 63, past the enumeration limit
     members = _orbit_members(n, seed=n)
-    bits = ("".join("1" if a > 0 else "0" for a in signs) for signs in members)
-    masks = np.array([int(text, 2) for text in bits], dtype=np.uint64)
+    masks = np.array([to_mask(signs) for signs in members], dtype=np.uint64)
     expected = []
     for signs in members:
         payload = {
@@ -345,6 +356,8 @@ def test_net_parse_errors(capsys):
     capsys.readouterr()
     assert run(["net", "--signs", "1,2,1"]) == 2
     capsys.readouterr()
+    assert run(["net", "--signs", "1,x,1"]) == 2
+    assert "cannot parse '1,x,1' as comma-separated signs" in capsys.readouterr().err
 
 
 def test_net_rejects_non_finite_scale(capsys):
@@ -387,13 +400,6 @@ def test_net_index_out_of_range(capsys):
 def test_net_limit(capsys):
     assert run(["net", "--n", "30"]) == 2
     capsys.readouterr()
-
-
-def test_verify_passes(capsys):
-    assert run(["verify", "--max-n", "6"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 8
-    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize("max_n", ["2", "-1"])

@@ -18,13 +18,13 @@ from hexaflex import sequences
 from hexaflex.sequences import (
     canonical_masks,
     canonicalize,
-    extend,
     invalid_reason,
     signs_from_mask,
 )
 from hexaflex.verify import naive_longest_run_positions
 
 from reference_table import paper_sum_set
+from support import grown_to, to_mask
 
 _FLIP = {"+": "-", "-": "+"}
 
@@ -121,13 +121,9 @@ def test_a_longest_run_holds_a_valid_contraction():
             assert any(u in valid for u in shorter), t
 
 
-def _to_mask(signs: tuple[int, ...]) -> int:
-    return int("".join("1" if a > 0 else "0" for a in signs), 2)
-
-
 def _assert_filter_matches_oracle(parents: list[tuple[int, ...]], word: type) -> None:
     length = len(parents[0])
-    keep = sequences._longest_run(np.array([_to_mask(p) for p in parents], dtype=word), length)
+    keep = sequences._longest_run(np.array([to_mask(p) for p in parents], dtype=word), length)
     assert keep.shape == (length, len(parents))
     for column, parent in zip(keep.T.tolist(), parents):
         kept = [i for i in range(1, length + 1) if column[i - 1]]
@@ -149,9 +145,6 @@ def test_longest_run_filter_on_constant_and_full_width_parents():
         _assert_filter_matches_oracle([(1,) * length], np.uint32)
     # L = 63, the widest parent the ladder extends: a run of 60 beside one of 3, two runs
     # of 33 and 30, the constant parent, and a parent grown by seeded extensions
-    rng = np.random.default_rng(3)
-    grown = (1, 1, 1)
-    while len(grown) < 63:
-        grown = extend(grown, int(rng.integers(1, len(grown) + 1)))
+    grown = grown_to(63, np.random.default_rng(3))
     parents = [(1,) * 60 + (-1,) * 3, (1,) * 33 + (-1,) * 30, (1,) * 63, grown]
     _assert_filter_matches_oracle([canonicalize(p) for p in parents], np.uint64)

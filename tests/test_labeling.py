@@ -7,12 +7,10 @@ from hexaflex import sequences
 from hexaflex.labeling import PatternPath, build_pattern, strip_labels
 from hexaflex.sequences import (
     canonical_masks,
-    enumerate_classes,
     extend,
     reduction_history,
     signs_from_mask,
 )
-from hexaflex.verify import blockwise_strip_labels
 
 
 @st.composite
@@ -23,18 +21,6 @@ def histories(draw, max_steps=9):
         steps.append(draw(st.integers(1, length)))
         length += 1
     return steps
-
-
-def test_base_pattern():
-    p = build_pattern([])
-    assert p.labels == (1, 2, 3)
-    assert p.signs == (1, 1, 1)
-
-
-def test_single_step_pattern():
-    p = build_pattern([3])
-    assert p.labels == (1, 2, 4, 3)
-    assert p.signs == (1, 1, -1, -1)
 
 
 def test_two_step_pattern():
@@ -84,18 +70,6 @@ def test_pattern_labels_are_permutation(steps):
     assert sorted(labels) == list(range(1, len(labels) + 1))
 
 
-def test_trihexaflexagon_rows():
-    rows = strip_labels(build_pattern([]))
-    assert rows.top == (1, 1, 3, 3, 2, 2, 1, 1, 3)
-    assert rows.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2)
-
-
-def test_tetrahexaflexagon_rows_with_glue():
-    rows = strip_labels(build_pattern([3]), glue=True)
-    assert rows.top == (1, 1, 4, 2, 1, 1, 4, 2, 1, 1, 4, 2, 1)
-    assert rows.bottom == (4, 2, 3, 3, 4, 2, 3, 3, 4, 2, 3, 3, 4)
-
-
 @given(histories(), st.booleans())
 def test_each_label_six_times_per_strip(steps, glue):
     pattern = build_pattern(steps)
@@ -122,14 +96,6 @@ def test_label_pairs_form_single_cycle(steps):
         frozenset((k, k - 1 if k > 1 else n)) for k in range(1, n + 1)
     }
     assert edges == wanted
-
-
-def test_blockwise_equivalence_over_classes():
-    for n in range(3, 13):
-        for record in enumerate_classes(n):
-            pattern = build_pattern(reduction_history(record.signs))
-            for glue in (False, True):
-                assert strip_labels(pattern, glue) == blockwise_strip_labels(pattern, glue)
 
 
 def test_pattern_path_validation():

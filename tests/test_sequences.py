@@ -28,10 +28,10 @@ from hexaflex.verify import (
     naive_classes,
     naive_longest_run_positions,
     naive_reduction_history,
-    reachable_classes,
 )
 
 from reference_table import paper_sum_set
+from support import grown_to, shuffled, to_mask
 
 
 @st.composite
@@ -124,6 +124,9 @@ def test_reduce_examples():
         reduce((1, 1, -1, -1), 2)  # entries differ
     # wrap-around pair (a_n, a_1)
     assert reduce((1, -1, -1, 1), 4) == (-1, -1, -1)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match=f"reduce position {i} out of range 1..4"):
+            reduce((1, 1, -1, -1), i)
 
 
 @given(valid_sequences(), st.integers(1, 30))
@@ -208,14 +211,7 @@ def test_reduction_history_matches_naive_on_orbit_members():
     rng = random.Random(3)
     for n in range(19, 49):
         for _ in range(4):
-            signs = (1, 1, 1)
-            while len(signs) < n:
-                signs = extend(signs, rng.randint(1, len(signs)))
-            signs = cyclic_shift(signs, rng.randrange(n))
-            if rng.random() < 0.5:
-                signs = reverse(signs)
-            if rng.random() < 0.5:
-                signs = invert(signs)
+            signs = shuffled(grown_to(n, rng), rng, "sri")
             assert reduction_history(signs) == naive_reduction_history(signs)
 
 
@@ -247,16 +243,8 @@ def test_batch_histories_on_orbit_members_up_to_full_width():
     # and the 64-bit shifts at n = 64
     rng = random.Random(5)
     for n in (25, 31, 32, 33, 40, 63, 64):
-        rows = []
-        for _ in range(20):
-            signs = (1, 1, 1)
-            while len(signs) < n:
-                signs = extend(signs, rng.randint(1, len(signs)))
-            signs = cyclic_shift(signs, rng.randrange(n))
-            rows.append(invert(signs) if rng.random() < 0.5 else signs)
-        masks = np.array(
-            [int("".join("1" if a > 0 else "0" for a in t), 2) for t in rows], dtype=np.uint64
-        )
+        rows = [shuffled(grown_to(n, rng), rng, "si") for _ in range(20)]
+        masks = np.array([to_mask(t) for t in rows], dtype=np.uint64)
         assert sequences._histories(masks, n).tolist() == [naive_reduction_history(t) for t in rows]
 
 
@@ -272,7 +260,6 @@ def test_contract_takes_leftmost_valid_pair():
             for i in rng.sample(range(length), 3):
                 signs[i] = -signs[i]
             cases[length].append(tuple(signs))
-    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
     for length, rows in cases.items():
         contracted = {}
         for signs in rows:
@@ -364,11 +351,6 @@ def test_enumerate_classes_n6():
     assert [r.printable for r in records] == [True, True, True]
 
 
-def test_enumerate_matches_naive_scan():
-    for n in range(3, 11):
-        assert [r.signs for r in enumerate_classes(n)] == naive_classes(n)
-
-
 def test_ladder_matches_naive_scan_in_order():
     for n in range(3, 13):
         masks = canonical_masks(n)
@@ -385,12 +367,7 @@ def test_ladder_cardinality():
 def test_ladder_step_at_full_mask_width():
     # one parent of length 63 extended to 64 bits, against the tuple-level canonical forms
     # of the extensions whose new pair lies in a longest run (Lemma R)
-    signs = (1, 1, 1)
-    rng = np.random.default_rng(3)
-    while len(signs) < 63:
-        signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
-    parent = canonicalize(signs)
-    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
+    parent = canonicalize(grown_to(63, np.random.default_rng(3)))
     grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), 64)
     kept = naive_longest_run_positions(parent)
     expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
@@ -420,12 +397,8 @@ def test_ladder_step_across_the_word_switch():
     # one parent each side of the uint32/uint64 switch, in uint64 and in the word of its
     # length: at n = 33 the one widening, a uint32 parent grown into uint64 forms
     rng = np.random.default_rng(31)
-    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
     for n in (31, 32, 33):
-        signs = (1, 1, 1)
-        while len(signs) < n - 1:
-            signs = extend(signs, int(rng.integers(1, len(signs) + 1)))
-        parent = canonicalize(signs)
+        parent = canonicalize(grown_to(n - 1, rng))
         kept = naive_longest_run_positions(parent)  # Lemma R
         expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
         for word in (np.uint64, sequences._word(n - 1)):
@@ -462,7 +435,6 @@ def test_extensions_match_extend_in_each_word():
     1 << 32 raises OverflowError against a uint32 array.
     """
     rng = np.random.default_rng(37)
-    to_mask = lambda t: int("".join("1" if a > 0 else "0" for a in t), 2)  # noqa: E731
     for word, lengths in ((np.uint32, (3, 17, 31)), (np.uint64, (32, 47, 63))):
         for length in lengths:
             masks = rng.integers(0, 1 << length, size=40, dtype=np.uint64).astype(word)
@@ -634,11 +606,6 @@ def test_canonical_masks_range():
         canonical_masks(2)
 
 
-def test_enumerate_cardinality():
-    for n in range(3, 17):
-        assert len(enumerate_classes(n)) == hexaflexagon_count(n)
-
-
 def test_enumerate_classes_labels():
     for n in range(3, 13):
         for record in enumerate_classes(n, labels=True):
@@ -658,8 +625,3 @@ def test_enumerate_limit_guard():
         enumerate_classes(25)
     with pytest.raises(ValueError):
         enumerate_classes(2)
-
-
-def test_validity_equals_reachability():
-    for n in range(3, 11):
-        assert set(naive_classes(n)) == reachable_classes(n)
