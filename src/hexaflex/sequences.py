@@ -153,7 +153,7 @@ def _require_valid(s: Iterable[int]) -> SignSequence:
 # The contraction rule of reduction_history and _histories: contract at the
 # leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Three
 # lemmas let both kernels skip the sum, the ends and the wrapped pair; a
-# fourth, Lemma R, lets the class ladder skip most extensions.
+# fourth, Lemma R', lets the class ladder skip most extensions.
 #
 # Lemma B: every valid sum is a multiple of 3, since the bases sum to +-3 and
 # an extension moves the sum by +-3.  A sequence whose only equal pair is the
@@ -178,19 +178,23 @@ def _require_valid(s: Iterable[int]) -> SignSequence:
 # sum would be a, and s - 3a = -2a would break Lemma B), so it has an inner
 # (-a, -a) pair, which lies in 2 <= p <= L - 2 and keeps a_L = a_1 adjacent.
 #
-# Lemma R: every class at length n >= 4 has a member ext(p, i), with p the
-# canonical form of a class at length n - 1, whose new pair lies in a longest
-# cyclic run; so the ladder extends each parent only there (see _longest_run).
-# Take a member c of the class and an equal pair pi in a longest run of c; a
-# valid c has an equal pair.  By Lemma C, contracting pi fails only when c has
-# exactly three equal pairs, consecutive, and pi is the middle one; the first of
-# the three lies in the same run and contracts validly, so take it instead.
-# Rotate c so that pi does not wrap.  q = contract(c, pi) is valid, so its class
-# is at length n - 1, with canonical form p = sigma(q) for a rotation, reversal
-# or inversion sigma.  Extension commutes with these moves, and they keep every
-# run length: if sigma takes pi's merged entry to position i, ext(p, i) is the
-# image of c under the same move, and its new pair, the image of pi, lies in a
-# longest run.  _grow's count check, exactly H(n) classes, still checks every level.
+# Lemma R': every class at length n >= 4 has a member ext(p, i), with p the
+# canonical form of a class at length n - 1, whose new pair is the first or the
+# last pair of a longest cyclic run; so the ladder extends each parent only
+# there (see _longest_run).  Take a member c of the class and a longest run of
+# c; a valid c has an equal pair, so the run holds a pair.  If c is constant,
+# take any pair pi: contracting it leaves n - 2 >= 2 equal entries.  Else take
+# the run's first pair pi = (a, a): contracting it puts -a next to the run
+# before, whose sign is -a.  Either way an equal pair is left, so by Lemma C the
+# result is valid.  Rotate c so that pi does not wrap.  q = contract(c, pi) is
+# valid, so its class is at length n - 1, with canonical form p = sigma(q) for a
+# rotation, reversal or inversion sigma.  Extension commutes with these moves,
+# and they keep every run and its length, a reversal turning a first pair into
+# a last one: if sigma takes pi's merged entry to position i, ext(p, i) is the
+# image of c under the same move, and its new pair, the image of pi, is the
+# first or the last pair of a longest run; a constant ext(p, i) has a parent
+# with a single entry of the other sign.  _grow's count check, exactly H(n)
+# classes, still checks every level.
 
 
 def reduction_history(s: Iterable[int]) -> list[int]:
@@ -258,8 +262,8 @@ class ClassRecord:
 #
 # A sequence is valid exactly when extension moves reach it from (1, 1, 1),
 # and extension commutes with the orbit operations, so level n holds the
-# canonical forms of the one-position extensions of level n - 1; by Lemma R,
-# of those whose new pair lies in a longest cyclic run.
+# canonical forms of the one-position extensions of level n - 1; by Lemma R',
+# of those whose new pair is the first or the last pair of a longest cyclic run.
 
 MAX_N = 64  # the mask width: the one ceiling of every level kernel
 # per temporary array of _grow and of each kernel class_rows runs; it also sizes
@@ -299,13 +303,13 @@ def _bitrev(x: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
+def _sorted_unique(x: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
     """Ascending distinct values; np.unique's hashing is far slower than a sort here.
 
     A contiguous x is sorted in place, so a read-only one raises ValueError.
     """
     x = x.ravel()
-    x.sort()
+    x.sort(kind=kind)
     keep = np.empty(len(x), dtype=bool)
     keep[:1] = True
     np.not_equal(x[1:], x[:-1], out=keep[1:])
@@ -376,16 +380,19 @@ def _extensions(x: np.ndarray, length: int) -> np.ndarray:
 
 
 def _longest_run(parent: np.ndarray, length: int) -> np.ndarray:
-    """Which extensions of each canonical parent keep their new pair in a longest run.
+    """Which extensions of each canonical parent put their new pair at an end of a longest run.
 
     Row i - 1 of the (L, parents) bool result tests ext(p, i), whose new
-    pair (-a, -a) replaces a = a_i (Lemma R).  Its run r is the pair plus each
+    pair (-a, -a) replaces a = a_i (Lemma R').  Its run r is the pair plus each
     neighbouring run of sign -a.  The child's other runs are the parent's
     runs, less those r takes in, which are shorter than r, and less the run
-    through i, which splits into two pieces.  So ext(p, i) is kept when r is
-    at least the parent's longest run, or, if i lies in the only longest
-    run, at least the second longest and both pieces.  A constant parent's
-    pieces meet round the wrap, L - 1 long, so only L = 3 keeps any.
+    through i, which splits into two pieces.  So r is a longest run when it
+    is at least the parent's longest run, or, if i lies in the only longest
+    run, at least the second longest and both pieces.  The pair is first or
+    last in r unless a_i is a run of its own, with -a on both sides; that
+    child is kept only when it is constant, from a parent with a single -1.
+    A constant parent's pieces meet round the wrap, L - 1 long, so only
+    L = 3 keeps any.
 
     A canonical parent that is not constant has a_L != a_1 (the largest
     rotation starts a run of ones), so no run wraps: a carry from bit L - i + 1
@@ -421,7 +428,12 @@ def _longest_run(parent: np.ndarray, length: int) -> np.ndarray:
     r += 2
     bound = np.maximum(left, right)
     np.maximum(bound, second, out=bound)
-    keep = r >= np.where(only, bound, longest)
+    only &= r >= bound  # bound < longest, so r >= longest covers the rest
+    keep = r >= longest
+    keep |= only
+    at_end = np.logical_or(left, right)  # else a_i is alone and the pair lies inside r
+    at_end |= np.bitwise_count(parent) == length - 1  # or the child is constant
+    keep &= at_end
     keep[:, equal == full] = length <= 3  # constant parents, whose carries may also wrap
     return keep
 
@@ -448,27 +460,30 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     """Level n from the whole of level n - 1, canonicalized one block of parents at a time.
 
     The level fills one buffer of exactly H(n) = counting.hexaflexagon_count(n)
-    masks: each block's canonical forms that the sorted prefix lacks are
-    appended, and the prefix is sorted again.  A level that overfills or
-    underfills the buffer raises ArithmeticError, the ladder's one count check.
+    masks: each block's canonical forms are merged with the sorted prefix,
+    the forms found twice dropped, and the result written back; the full
+    buffer is then reversed in place.  A level that overfills or underfills
+    the buffer raises ArithmeticError, the ladder's one count check.
     """
     block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
     level = np.empty(hexaflexagon_count(n), dtype=_word(n))
     size = 0
     for start in range(0, len(parent), block):
         new = _canonical_extensions(parent[start : start + block], n)
-        if size:  # drop the forms an earlier block found
-            new = new[level[np.searchsorted(level[:size], new).clip(max=size - 1)] != new]
-        if size + len(new) > len(level):
+        if size:  # two sorted runs, which a stable sort merges; drop the forms found twice
+            new = _sorted_unique(np.concatenate([level[:size], new]), kind="stable")
+        if len(new) > len(level):
             raise ArithmeticError(f"more than H({n}) = {len(level)} classes grown at n={n}")
-        level[size : size + len(new)] = new
-        size += len(new)
-        level[:size].sort(kind="stable")  # two sorted runs, which a stable sort merges
+        level[: len(new)] = new
+        size = len(new)
     if size < len(level):
         raise ArithmeticError(f"{size} classes grown at n={n}, but H({n}) = {len(level)}")
-    out = level[::-1].copy()
-    out.flags.writeable = False
-    return out
+    half = size // 2  # reversed in place, through a copy of the first half
+    head = level[:half].copy()
+    level[:half] = level[::-1][:half]
+    level[size - half :] = head[::-1]
+    level.flags.writeable = False
+    return level
 
 
 def canonical_masks(n: int) -> np.ndarray:

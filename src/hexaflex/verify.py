@@ -99,9 +99,12 @@ def reachable_classes(n: int) -> set[tuple[int, ...]]:
 
 
 def naive_longest_run_positions(s: Iterable[int]) -> list[int]:
-    """Positions i whose extension puts the new pair in a longest cyclic run of the child.
+    """Positions i whose extension puts the new pair first or last in a longest cyclic run.
 
     The run lengths are read off the child by walking it from a run boundary.
+    The new pair, child entries i and i + 1, is first in its run when entry
+    i - 1 differs from it, and last when entry i + 2 does; a constant child
+    is one run, whose every pair counts as first.
     """
     t = tuple(s)
     positions = []
@@ -114,7 +117,9 @@ def naive_longest_run_positions(s: Iterable[int]) -> list[int]:
             run = (end - start) % m
             for k in range(start, start + run):
                 lengths[k % m] = run
-        if lengths[i - 1] == max(lengths):
+        first = child[i - 2] != child[i - 1]  # at i = 1, entry i - 1 is the last one
+        last = child[(i + 1) % m] != child[i]
+        if lengths[i - 1] == max(lengths) and (first or last or not boundaries):
             positions.append(i)
     return positions
 
@@ -377,13 +382,13 @@ def _suite_lemma(max_n: int) -> None:
             valid == reachable,
             f"Lemma: n={n} validity/reachability differ by {valid ^ reachable}",
         )
-        if below:  # Lemma R: the longest-run extensions of the classes below reach them all
+        if below:  # Lemma R': the extensions at an end of a longest run reach them all
             reached = {
                 sequences.canonicalize(sequences.extend(p, i))
                 for p in below
                 for i in naive_longest_run_positions(p)
             }
-            _check(reached == valid, f"Lemma R: n={n} classes differ by {valid ^ reached}")
+            _check(reached == valid, f"Lemma R': n={n} classes differ by {valid ^ reached}")
         below = valid
 
 

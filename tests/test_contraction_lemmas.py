@@ -1,13 +1,14 @@
 """The lemmas that keep the contraction kernels off the wrapped pair and the sum,
-and the one that lets the class ladder extend each parent only in a longest run.
+and the one that lets the class ladder extend each parent only at an end of a
+longest run.
 
 The lemmas and their proofs sit above sequences.reduction_history.  Lemmas A,
-C and R are checked here from the definition of validity, reachability by
+C and R' are checked here from the definition of validity, reachability by
 extension moves from '+++' or its inversion '---', with no code of the
 package; Lemma C also against the paper's table of achievable sums.
 sequences.invalid_reason, the package's one validity rule, is checked
-against the same reachability, and sequences._longest_run, Lemma R's test in
-the ladder, against the tuple oracle verify.naive_longest_run_positions.
+against the same reachability, and sequences._longest_run, the ladder's test
+of Lemma R', against the tuple oracle verify.naive_longest_run_positions.
 """
 
 from functools import lru_cache
@@ -89,36 +90,42 @@ def test_invalid_reason_is_none_exactly_for_the_reachable_strings():
             assert (invalid_reason(signs) is None) == (t in reachable), t
 
 
-def _longest_runs(t: str) -> set[int]:
-    """The indices of t that lie in a longest cyclic run."""
+def _end_pairs(t: str) -> list[int]:
+    """Each p whose pair (p, p + 1), cyclically, is the first or the last pair of a longest run.
+
+    A constant t is one run, whose every pair counts.
+    """
     if len(set(t)) == 1:
-        return set(range(len(t)))
-    lengths = {}
+        return list(range(len(t)))
+    runs = []  # (start, length) of each cyclic run
     for k in range(len(t)):
         if t[k] != t[k - 1]:  # a run starts at k
             end = k + 1
             while t[end % len(t)] == t[k]:
                 end += 1
-            lengths.update((j % len(t), end - k) for j in range(k, end))
-    return {k for k, length in lengths.items() if length == max(lengths.values())}
+            runs.append((k, end - k))
+    longest = max(length for _, length in runs)
+    ends = {p % len(t) for k, length in runs if length == longest for p in (k, k + length - 2)}
+    return sorted(ends)
 
 
 def test_a_longest_run_holds_a_valid_contraction():
-    # Lemma R from the definition: every valid string of length 4..14 has an equal pair
-    # (p, p + 1) inside a longest cyclic run whose contraction is valid
+    # Lemma R' from the definition: in every valid string of length 4..14, the first and the
+    # last pair (p, p + 1) of each longest cyclic run contract validly
     valid = _reachable(14)
     for length in range(4, 15):
         for bits in range(1 << length):
             t = format(bits, f"0{length}b").replace("1", "+").replace("0", "-")
             if t not in valid:
                 continue
-            longest = _longest_runs(t)
-            shorter = [
-                t[:p] + _FLIP[t[p]] + t[p + 2 :] if p < length - 1 else _FLIP[t[0]] + t[1:-1]
-                for p in range(length)
-                if {p, (p + 1) % length} <= longest and t[p] == t[(p + 1) % length]
-            ]
-            assert any(u in valid for u in shorter), t
+            ends = _end_pairs(t)
+            assert ends, t  # a valid string has an equal pair, so its longest runs hold one
+            for p in ends:
+                assert t[p] == t[(p + 1) % length], (t, p)
+                if p < length - 1:
+                    assert t[:p] + _FLIP[t[p]] + t[p + 2 :] in valid, (t, p)
+                else:  # the wrapped pair contracts to one -a that leads
+                    assert _FLIP[t[0]] + t[1:-1] in valid, t
 
 
 def _assert_filter_matches_oracle(parents: list[tuple[int, ...]], word: type) -> None:
@@ -148,3 +155,9 @@ def test_longest_run_filter_on_constant_and_full_width_parents():
     grown = grown_to(63, np.random.default_rng(3))
     parents = [(1,) * 60 + (-1,) * 3, (1,) * 33 + (-1,) * 30, (1,) * 63, grown]
     _assert_filter_matches_oracle([canonicalize(p) for p in parents], np.uint64)
+    # a single -1 lies strictly inside the run its extension joins, yet that child is
+    # constant: one run, whose every pair is at an end (Lemma R')
+    for length in (3, 5, 8, 14, 31, 32, 63):
+        parent = (1,) * (length - 1) + (-1,)
+        assert naive_longest_run_positions(parent)[-1] == length
+        _assert_filter_matches_oracle([parent], sequences._word(length + 1))

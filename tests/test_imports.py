@@ -1,12 +1,12 @@
-"""Static checks of the package's modules.
+"""Static checks of the package's modules and of the test files' imports.
 
-Every name a module imports is used or re-exported, and no module has an
-assert statement: limits and invariants must survive `python -O`.  The
-renderer, the labels, the closed forms and the CLI import no numpy, so the
-net path and the closed-form counts can one day run without it.  The closed
-forms import no other module of the package, so any of them can import them.
-No function is memoized but the CLI's parser, so the class ladder is the
-package's one data cache.
+Every name a module or a test file imports is used or re-exported, and no
+module has an assert statement: limits and invariants must survive
+`python -O`.  The renderer, the labels, the closed forms and the CLI import
+no numpy, so the net path and the closed-form counts can one day run without
+it.  The closed forms import no other module of the package, so any of them
+can import them.  No function is memoized but the CLI's parser, so the class
+ladder is the package's one data cache.
 """
 
 import ast
@@ -16,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "hexaflex").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -39,14 +40,14 @@ def test_package_modules_found():
     assert {path.name for path in SOURCES} >= {"__init__.py", "__main__.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
 
 
 def test_sources_parse_at_the_python_floor():
     # requires-python in pyproject.toml is >= 3.10
-    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+    for path in SOURCES + TESTS:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 

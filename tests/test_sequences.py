@@ -366,7 +366,7 @@ def test_ladder_cardinality():
 
 def test_ladder_step_at_full_mask_width():
     # one parent of length 63 extended to 64 bits, against the tuple-level canonical forms
-    # of the extensions whose new pair lies in a longest run (Lemma R)
+    # of the extensions whose new pair is the first or the last pair of a longest run (Lemma R')
     parent = canonicalize(grown_to(63, np.random.default_rng(3)))
     grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=np.uint64), 64)
     kept = naive_longest_run_positions(parent)
@@ -399,7 +399,7 @@ def test_ladder_step_across_the_word_switch():
     rng = np.random.default_rng(31)
     for n in (31, 32, 33):
         parent = canonicalize(grown_to(n - 1, rng))
-        kept = naive_longest_run_positions(parent)  # Lemma R
+        kept = naive_longest_run_positions(parent)  # Lemma R'
         expected = {to_mask(canonicalize(extend(parent, i))) for i in kept}
         for word in (np.uint64, sequences._word(n - 1)):
             grown = sequences._canonical_extensions(np.array([to_mask(parent)], dtype=word), n)
@@ -415,7 +415,7 @@ def test_ladder_step_across_the_word_switch():
 
 def test_ladder_keeps_only_longest_run_extensions(monkeypatch):
     # no output shows the pruning, so pin its count: level 19 has 2385 parents and
-    # 19 * 2385 = 45315 extensions, of which Lemma R keeps 22062 for the orbit pass
+    # 19 * 2385 = 45315 extensions, of which Lemma R' keeps 12475 for the orbit pass
     parent = canonical_masks(19)
     sizes = []
     sorted_unique = sequences._sorted_unique
@@ -423,7 +423,7 @@ def test_ladder_keeps_only_longest_run_extensions(monkeypatch):
         sequences, "_sorted_unique", lambda x: sizes.append(x.size) or sorted_unique(x)
     )
     grown = sequences._canonical_extensions(parent, 20)
-    assert sizes[0] == 22062
+    assert sizes[0] == 12475
     assert len(grown) == hexaflexagon_count(20) and grown.dtype == sequences._word(20)
 
 
