@@ -41,9 +41,16 @@ def _prime_factors(m: int) -> list[tuple[int, int]]:
     return factors
 
 
+def _index(m: int) -> int:
+    """m as a Python int; a bool is refused, as the sign-entry and history-step gates refuse it."""
+    if isinstance(m, bool):
+        raise ValueError(f"need an integer, not the bool {m}")
+    return operator.index(m)
+
+
 def totient(m: int) -> int:
     """Euler's totient of a positive integer."""
-    m = operator.index(m)
+    m = _index(m)
     if m < 1:
         raise ValueError(f"totient is defined for positive integers, got {m}")
     result = m
@@ -54,7 +61,7 @@ def totient(m: int) -> int:
 
 def moebius(m: int) -> int:
     """Moebius function: 0 if m has a squared prime factor, else (-1)^(#primes)."""
-    m = operator.index(m)
+    m = _index(m)
     if m < 1:
         raise ValueError(f"moebius is defined for positive integers, got {m}")
     factors = _prime_factors(m)
@@ -81,7 +88,7 @@ def _divisors(m: int) -> list[int]:
 
 def _check_args(n: int, k: int) -> tuple[int, int]:
     """(n, k) as Python ints, so a numpy integer cannot overflow or leak into a result."""
-    n, k = operator.index(n), operator.index(k)
+    n, k = _index(n), _index(k)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if k < 0 or k > n:
@@ -158,7 +165,7 @@ def self_conjugate_count(n: int) -> int:
     even, none when d is odd; each of the n/2 reflections through edge
     midpoints maps 2^(n/2), and those through vertices none.
     """
-    n = operator.index(n)
+    n = _index(n)
     if n < 2 or n % 2:
         raise ValueError(f"self-conjugate classes need even n >= 2, got {n}")
     rotations = sum(totient(d) * 2 ** (n // d) for d in _divisors(n) if d % 2 == 0)
@@ -177,7 +184,7 @@ def hexaflexagon_count(n: int) -> int:
     so H(n) = (T(n) + F(n)) / 2 - [n even].  In T(n)'s Burnside sum a rotation
     with c cycles fixes 2^c strings if 3 | n/c, else t(c) = (2^c + 2(-1)^c) / 3.
     """
-    n = operator.index(n)
+    n = _index(n)
     if n < 3:
         raise ValueError(f"hexaflexagon_count needs n >= 3, got {n}")
 

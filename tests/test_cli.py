@@ -426,6 +426,21 @@ def test_verify_names_a_failing_suite_once(capsys, monkeypatch):
     assert "labeling" not in fails[0][len("FAIL labeling: ") :]
 
 
+def test_verify_fails_a_level_that_repeats_a_class(capsys, monkeypatch):
+    # still exactly H(13) masks, so only the class-count suite's order check can see it;
+    # every other suite stops at n = 12
+    level = sequences.canonical_masks(13).copy()
+    level[1] = level[0]
+    level.flags.writeable = False
+    monkeypatch.setitem(sequences._LADDER, 13, level)
+    assert run(["verify", "--max-n", "13"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("PASS ")] == [
+        f"PASS {name}" for name in verify._SUITES if name != "class-count"
+    ]
+    assert len(lines) == 8 and lines[4].startswith("FAIL class-count: H(13): ")
+
+
 def test_verify_reports_a_crashing_suite_and_runs_the_rest(capsys, monkeypatch):
     bulk = geometry.bulk_printable
 

@@ -184,3 +184,14 @@ def test_closed_forms_exact_for_numpy_integers(kind):
             for count in (necklace_count, bracelet_count, lyndon_count):
                 value = count(kind(n), kind(k))
                 assert type(value) is int and value == count(n, k), (count.__name__, n, k)
+
+
+def test_closed_forms_reject_bools():
+    # True would count as 1, as in necklace_count(True, False) == 1; the sign gates refuse bools too
+    for one in (totient, moebius, self_conjugate_count, hexaflexagon_count):
+        with pytest.raises(ValueError, match="bool"):
+            one(True)
+    for count in (necklace_count, bracelet_count, lyndon_count, _bracelet_even_even_printed):
+        for n, k in ((True, False), (True, 0), (6, True)):
+            with pytest.raises(ValueError, match="bool"):
+                count(n, k)

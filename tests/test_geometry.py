@@ -273,11 +273,6 @@ def test_walk_chunks_follow_the_scalar_walk(monkeypatch):
         recorder.takes.clear()
 
 
-def test_printable_class_count_small():
-    for n in range(3, 15):
-        assert printable_class_count(n) == KNOWN_COUNTS[n][1]
-
-
 def test_printable_count_limit_guard():
     with pytest.raises(ValueError):
         printable_class_count(27)
@@ -342,13 +337,6 @@ def test_bulk_printable_across_chunk_boundaries():
         for row in (boundary - 1, boundary):
             assert bool(tiled[row]) == is_printable(records[row % len(masks)].signs)
     assert {bool(flag) for flag in flags} == {True, False}
-
-
-def test_bulk_printable_one_row_per_chunk(monkeypatch):
-    # printable_class_count sums the flags of class_rows' blocks, here one class each
-    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
-    for n in range(3, 15):
-        assert printable_class_count(n) == KNOWN_COUNTS[n][1]
 
 
 def test_bulk_printable_one_and_two_row_blocks():

@@ -1,11 +1,12 @@
 """Static checks of the package's modules and of the test files' imports.
 
 Every name a module or a test file imports is used or re-exported, and no
-module has an assert statement: limits and invariants must survive
-`python -O`.  The renderer, the labels, the closed forms and the CLI import
-no numpy, so the net path and the closed-form counts can one day run without
-it.  The closed forms import no other module of the package, so any of them
-can import them.  No function is memoized but the CLI's parser, so the class
+module has an assert statement or reads `__debug__`: limits and invariants
+must survive `python -O`, which must run the same package code.  The
+renderer, the labels, the closed forms and the CLI import no numpy, so the
+net path and the closed-form counts can one day run without it.  The
+closed forms import no other module of the package, so any of them can
+import them.  No function is memoized but the CLI's parser, so the class
 ladder is the package's one data cache.
 """
 
@@ -54,7 +55,12 @@ def test_sources_parse_at_the_python_floor():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    stripped = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert stripped == []
 
 
 def _imported_modules(name: str) -> set[str]:
