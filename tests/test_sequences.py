@@ -310,6 +310,18 @@ def test_class_rows_one_row_per_block(monkeypatch):
             assert np.array_equal(column, want_column), n
 
 
+def test_class_rows_printable_matches_whole_level(monkeypatch):
+    # class_rows computes the flags block by block; one whole-level call is the reference
+    levels = range(3, 17)
+    expected = {n: geometry.bulk_printable(canonical_masks(n), n).tolist() for n in levels}
+    for block_bytes in (sequences._BLOCK_BYTES, 1):
+        monkeypatch.setattr(sequences, "_BLOCK_BYTES", block_bytes)
+        for n in levels:
+            blocks = sequences.class_rows(n)
+            flags = np.concatenate([flags for _, _, flags, _ in blocks]).tolist()
+            assert flags == expected[n], (n, block_bytes)
+
+
 @pytest.mark.parametrize("labels", [False, True])
 def test_class_rows_size_guard(labels):
     # uint64 shifts past the mask width would wrap, and n = 0 divided by zero
