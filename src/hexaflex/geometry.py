@@ -183,7 +183,7 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
     per take: one column of _CHUNK_TABLE per row gives the chunk's key offsets
     and its last state.  sequences.class_rows sizes the blocks for the walk's keys.
     """
-    sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
+    n = sequences.check_size(n, min(sequences.MAX_N, _PACKING_MAX_N), "the printability kernel")
     path_len = 4 * n - 1
     masks = np.asarray(masks).astype(sequences._word(n), copy=False)
     out = np.zeros(len(masks), dtype=bool)  # the rows Lemma D decides stay False
@@ -248,5 +248,5 @@ def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:
 
 def printable_class_count(n: int, *, limit: int = DEFAULT_COUNTING_LIMIT) -> int:
     """Number of printable equivalence classes at length n."""
-    sequences.check_size(n, limit, "counting")
+    n = sequences.check_size(n, limit, "counting")
     return sum(int(flags.sum()) for _, _, flags, _ in sequences.class_rows(n))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import LatticeCell, TriangleStrip
-from .labeling import StripLabels
+if TYPE_CHECKING:
+    from .geometry import LatticeCell, TriangleStrip
+    from .labeling import StripLabels
 
 __all__ = ["MAX_DOCUMENT_SIZE", "digits", "render_strip", "render_table"]
 

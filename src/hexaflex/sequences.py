@@ -494,7 +494,7 @@ def canonical_masks(n: int) -> np.ndarray:
     _grow).  A level that _grow finds with any other count raises
     ArithmeticError and is not kept.
     """
-    check_size(n, MAX_N, "the class ladder")
+    n = check_size(n, MAX_N, "the class ladder")
     grown = n
     while grown not in _LADDER:
         grown -= 1
@@ -548,7 +548,7 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
     next chain entry and takes the first match, all in the word of n (see _word).
     """
     # int8 holds every step and label, each <= n
-    check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
+    n = check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
     chain = [np.asarray(masks).astype(_word(n), copy=False)]
     # contractions move a sum by 3, so one check here covers every length (Lemma C)
     if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
@@ -609,6 +609,7 @@ def class_rows(
     """
     from . import geometry  # geometry imports this module
 
+    n = check_size(n, MAX_N, "the class ladder")
     masks = canonical_masks(n)
     block = max(1, _BLOCK_BYTES // (4 * (4 * n - 1)))
     for start in range(0, len(masks), block):
@@ -639,6 +640,7 @@ def class_jsonl(n: int, *, labels: bool = False) -> Iterator[str]:
     a fixed-width run of columns taken from a table padded with NUL; one
     translate drops the NULs.
     """
+    n = check_size(n, MAX_N, "the class ladder")
     shifts = np.arange(n - 1, -1, -1, dtype=_word(n))
     sum_text = _text_table("{}", range(-n, n + 1))  # indexed by the sum plus n
     flag_text = np.array([b"false", b"true"])
@@ -668,15 +670,20 @@ def class_jsonl(n: int, *, labels: bool = False) -> Iterator[str]:
         del fields  # before class_rows builds the next block
 
 
-def check_size(n: int, limit: int, what: str) -> None:
-    """The one size guard of every level kernel and command: 3 <= n <= limit <= MAX_N."""
-    operator.index(n)  # a TypeError for a non-integral n, which no level is grown to
+def check_size(n: int, limit: int, what: str) -> int:
+    """The one size guard of every level kernel and command: 3 <= n <= limit <= MAX_N.
+
+    Returns n as a Python int, which callers compute with in place of n: in a narrow
+    numpy integer type the kernels' arithmetic would overflow or wrap silently.
+    """
+    n = operator.index(n)  # a TypeError for a non-integral n, which no level is grown to
     if n < 3:
         raise ValueError(f"{what} needs n >= 3, got {n}")
     if limit > MAX_N:
         raise ValueError(f"limit {limit} exceeds the largest supported n {MAX_N}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the {what} limit {limit}")
+    return n
 
 
 def enumerate_classes(
@@ -687,7 +694,7 @@ def enumerate_classes(
     The classes come from class_rows(n), so from the extension ladder, which
     grows exactly counting.hexaflexagon_count(n) of them or raises ArithmeticError.
     """
-    check_size(n, limit, "enumeration")
+    n = check_size(n, limit, "enumeration")
     records = []
     for chunk, sums, flags, faces in class_rows(n, labels=labels):
         rows = repeat(None) if faces is None else map(tuple, faces.tolist())

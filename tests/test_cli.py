@@ -148,16 +148,18 @@ def test_enumerate_matches_json_dumps(capsys, with_labels):
 DIGESTS = json.loads((Path(__file__).parent / "stdout_digests.json").read_text())
 
 
-def _assert_recorded_stdout(command: str, *flags: str) -> None:
-    """Run `python -W error <flags> -m hexaflex <command>` and check it against the registry.
-
-    It must exit 0 with an empty stderr and the recorded stdout.  -W error turns any
-    warning into an error, as tier-1's filterwarnings does, also a DeprecationWarning
-    that a plain run would not print.
-    """
+@pytest.mark.parametrize("command", DIGESTS)
+def test_stdout_matches_recorded_digest(command):
+    # every stdout that must stay byte-identical.  Some entries reach past the
+    # other tests: levels 27 and 28 grow from uint32 candidate words,
+    # enumerate --n 26 flags every row of the level with the most printability
+    # blocks, enumerate --n 24 --with-labels replays every history at the cap,
+    # and verify --max-n 18 runs every verify suite to its own cap.  Each exits 0
+    # with an empty stderr: -W error turns any warning into an error, as tier-1's
+    # filterwarnings does, also a DeprecationWarning that a plain run would not print
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", *flags, "-m", "hexaflex"] + command.split(),
+        [sys.executable, "-W", "error", "-m", "hexaflex"] + command.split(),
         capture_output=True,
         env=env,
         timeout=120,  # a hung command fails here, named, not at CI's job limit
@@ -166,21 +168,6 @@ def _assert_recorded_stdout(command: str, *flags: str) -> None:
     assert proc.stderr == b""
     assert proc.stdout.count(b"\n") == DIGESTS[command]["lines"]
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[command]["sha256"]
-
-
-@pytest.mark.parametrize("command", DIGESTS)
-def test_stdout_matches_recorded_digest(command):
-    # every stdout that must stay byte-identical.  Some entries reach past the
-    # other tests: levels 27 and 28 grow from uint32 candidate words,
-    # enumerate --n 26 flags every row of the level with the most printability
-    # blocks, enumerate --n 24 --with-labels replays every history at the cap,
-    # and verify --max-n 18 runs every verify suite to its own cap
-    _assert_recorded_stdout(command)
-
-
-def test_verify_holds_with_asserts_stripped():
-    # -O drops every assert statement; each verify check must still hold without them
-    _assert_recorded_stdout("verify --max-n 18", "-O")
 
 
 def test_benchmark_expected_matches_the_registry():

@@ -1,13 +1,14 @@
 """Static checks of the package's modules and of the test files' imports.
 
 Every name a module or a test file imports is used or re-exported, and no
-module has an assert statement or reads `__debug__`: limits and invariants
-must survive `python -O`, which must run the same package code.  The
-renderer, the labels, the closed forms and the CLI import no numpy, so the
-net path and the closed-form counts can one day run without it.  The
-closed forms import no other module of the package, so any of them can
-import them.  No function is memoized but the CLI's parser, so the class
-ladder is the package's one data cache.
+module has an assert statement or reads `__debug__` or `sys.flags.optimize`:
+limits and invariants must survive `python -O`, which must run the same
+package code as a plain run.  The renderer, the labels, the closed forms
+and the CLI import no numpy, so the net path and the closed-form counts can
+one day run without it.  The closed forms, the labels and the renderer
+import no other module of the package outside `if TYPE_CHECKING:`, so any
+of them can import them.  No function is memoized but the CLI's parser, so
+the class ladder is the package's one data cache.
 """
 
 import ast
@@ -58,19 +59,29 @@ def test_no_assert_statements(path):
     stripped = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
+        or isinstance(node, ast.Attribute) and node.attr == "optimize"  # sys.flags.optimize
     ]
     assert stripped == []
 
 
-def _imported_modules(name: str) -> set[str]:
-    """Every module a package module imports; a relative one keeps its leading dots."""
+def _imported_modules(name: str, *, type_checking: bool = True) -> set[str]:
+    """Every module a package module imports; a relative one keeps its leading dots.
+
+    With type_checking=False, none that only an `if TYPE_CHECKING:` block imports.
+    """
     tree = ast.parse((ROOT / "src" / "hexaflex" / name).read_text(encoding="utf-8"))
+    skipped = set()
+    if not type_checking:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                skipped.update(child for statement in node.body for child in ast.walk(statement))
     modules = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Import) and node not in skipped:
             modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node not in skipped:
             modules.add("." * node.level + (node.module or ""))
     return modules
 
@@ -83,9 +94,11 @@ def test_no_numpy_in_pure_python_modules(name):
     assert not {m for m in _imported_modules(name) if m.split(".")[0] == "numpy"}
 
 
-def test_counting_imports_no_other_package_module():
-    # sequences imports counting, so counting importing any of them would risk a cycle
-    modules = _imported_modules("counting.py")
+@pytest.mark.parametrize("name", ["counting.py", "labeling.py", "render.py"])
+def test_leaf_modules_import_no_other_package_module(name):
+    # other modules import these, so one of them importing any other would risk a cycle,
+    # and the renderer or the labels would bring numpy in with geometry or sequences
+    modules = _imported_modules(name, type_checking=False)
     assert not {m for m in modules if m.startswith(".") or m.split(".")[0] == "hexaflex"}
 
 

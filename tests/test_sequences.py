@@ -523,7 +523,7 @@ def test_sorted_unique_matches_np_unique():
 def test_ladder_canonical_against_tuple_oracle():
     # above n = 12 the naive scan is too slow; check order and a seeded sample
     rng = np.random.default_rng(19)
-    for n in range(13, 25):
+    for n in range(13, 27):
         masks = canonical_masks(n)
         assert (masks[:-1] > masks[1:]).all()
         for m in masks[rng.choice(len(masks), min(300, len(masks)), replace=False)].tolist():
@@ -591,6 +591,28 @@ def test_check_size_rejects_non_integral_n():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize(
+    "kind", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64], ids=lambda k: k.__name__
+)
+def test_numpy_integer_n_computes_as_a_python_int(kind):
+    # in a narrow type, the block size 4 * (4n - 1) and the word mask (1 << n) - 1 overflow
+    # or wrap at n = 14
+    n, masks = kind(14), canonical_masks(14)
+    assert canonical_masks(n) is masks
+    assert np.array_equal(geometry.bulk_printable(masks, n), geometry.bulk_printable(masks, 14))
+    assert np.array_equal(sequences._histories(masks, n), sequences._histories(masks, 14))
+    for block, want in zip(
+        sequences.class_rows(n, labels=True), sequences.class_rows(14, labels=True), strict=True
+    ):
+        assert all(np.array_equal(a, b) for a, b in zip(block, want))
+    jsonl = sequences.class_jsonl
+    assert list(jsonl(n, labels=True)) == list(jsonl(14, labels=True))
+    records = enumerate_classes(n, labels=True)
+    assert records == enumerate_classes(14, labels=True)
+    assert {type(record.n) for record in records} == {int}
+    assert geometry.printable_class_count(n) == geometry.printable_class_count(14)
 
 
 def test_canonical_masks_range():
