@@ -146,28 +146,39 @@ def _chunk_table(k: int) -> list[int]:
 _CHUNK_TABLE = np.array(_chunk_table(_CHUNK_STEPS), dtype=np.int32).reshape(_CHUNK_STEPS + 1, -1)
 
 
+# Lemmas D and F close in a few moves.  Move j lays cell j; _NEXT and _STEP fix its state and
+# key offset from the state before it and from whether signs j - 2 and j - 1 are equal, and
+# move 1, which reads no pair, enters state 0 = _NEXT[5].  So tests/test_geometry.py checks
+# each closing step for every n from all 12 states.
+#
 # Lemma D: a sequence with five cyclically consecutive alternating signs (four unequal
-# neighbour pairs in a row) is not printable.  In _walk, move j (cell j - 1 to cell j)
-# turns direction a by the current side, and the side flips only when signs j - 2 and
-# j - 1 are equal.  Let signs i..i + 4 alternate, with i >= 1.  The pairs (i, i + 1) to
-# (i + 3, i + 4) are unequal, so moves i + 1..i + 5 keep one side s, and moves i..i + 5
-# head in directions a, a + s, ..., a + 5s: once round a lattice vertex.  _DX and _DY
-# each sum to 0, so cell i + 5 is cell i - 1.  The strip's signs repeat with period n,
-# so a window of 3n path cells from cell r has such a run at some i in r + 1..r + n, and
-# i + 5 <= r + n + 5 <= r + 3n - 1 for n >= 3: every shift repeats a cell.
+# neighbour pairs in a row) is not printable.  Let signs i..i + 4 alternate, with i >= 1.
+# Moves i..i + 5 read pairs (i - 2, i - 1) and (i - 1, i), then the four unequal pairs,
+# which keep the side: they head once round a lattice vertex, so cell i + 5 is cell i - 1.
+# The strip's signs repeat with period n, so a window of 3n path cells from cell r has such
+# a run at some i in r + 1..r + n, and i + 5 <= r + n + 5 <= r + 3n - 1 for n >= 3: every
+# shift repeats a cell.
 #
 # Lemma F: a sequence with nine cyclically consecutive signs whose eight neighbour pairs
 # read as a window of (u u u e e)^inf, u an unequal pair and e an equal one, is not
-# printable.  In _walk, move m >= 2 turns direction a by the side s_m, and s_{m + 1} = -s_m
-# exactly when signs m - 1 and m are equal.  Let signs j + 1..j + 9 be the nine, with
-# j >= 0: their pairs take s_{j + 2} to s_{j + 3}..s_{j + 10}.  The window repeats with
-# period 5 and flips the side at two adjacent pairs of each period, so the turns
-# s_{j + 2}..s_{j + 10} repeat with period 5 and any five of them are four of one sign and
-# one of the other: they sum to 3 or -3.  So move m + 5 heads opposite move m for
-# m = j + 1..j + 5; _DX[a + 3] = -_DX[a] and _DY likewise, so the ten moves from cell j
-# cancel and cell j + 10 is cell j.  A window of 3n path cells from cell r has the nine
-# signs at some j + 1 in r + 1..r + n, and j + 10 <= r + n + 9 <= r + 3n - 1 for n >= 5:
-# every shift repeats a cell.  No valid sequence shorter than 8 has the nine signs.
+# printable.  Let signs j + 1..j + 9 be the nine, with j >= 0.  Moves j + 1..j + 10 read
+# pairs (j - 1, j) and (j, j + 1), then the eight, at one of the window's 5 phases.  Those
+# flip the side at two adjacent pairs of each period, so any five turns in a row sum to 3
+# or -3: move m + 5 heads opposite move m, and cell j + 10 is cell j.  A window of 3n path
+# cells from cell r has the nine signs at some j + 1 in r + 1..r + n, and j + 10 <=
+# r + n + 9 <= r + 3n - 1 for n >= 5: every shift repeats a cell.  No valid sequence
+# shorter than 8 has the nine signs.
+#
+# Window congruence: window r of bulk_printable's path, cells r..r + 3n - 1, is the
+# shift-r strip moved by one lattice isometry.  For c in 0..5 and eps = +-1 map state
+# a + 6d to (c + eps * a) % 6 + 6d, d flipped when eps = -1 (a mirror turns left into
+# right).  (a) The 12 maps commute with _NEXT.  (b) a -> a + 1 turns (_DX[a], _DY[a]) by
+# 60 degrees, to (-_DY[a], _DX[a] + _DY[a]), and a -> -a swaps the two, a mirror: so
+# direction c + eps * a is one isometry's image of direction a.  (c) The maps take state 0
+# to every state.  The strip's move 1 enters state 0 and the path's move r + 1 some state
+# s, and both then read pairs r, r + 1, ...: by (c) one map takes 0 to s, by (a) it takes
+# each later state of the strip to the path's, and by (b) each move of the window is the
+# strip's under one isometry.  tests/test_geometry.py checks (a) to (c).
 
 
 def bulk_printable(masks: np.ndarray, n: int) -> np.ndarray:

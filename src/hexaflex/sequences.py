@@ -512,6 +512,7 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 # reduction_history and _labels that of build_pattern, on the ladder's masks:
 # position p of a length-L mask sits at bit L - p, so the leftmost valid
 # position is the highest valid bit.  Masks keep their word (see _word).
+# _labels keeps label indices label-major, (n, rows): one contiguous pass per insertion.
 
 
 def _rotl(x: np.ndarray, length: int, r: int | np.ndarray = 1) -> np.ndarray:
@@ -580,18 +581,17 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
 def _labels(steps: np.ndarray, n: int) -> np.ndarray:
     """build_pattern(history).labels of each row of steps, as an int8 (rows, n) array.
 
-    Tracks the index of each label: a step at position i puts label m + 1 at
-    index i - 1 and moves every label at or after that index one to the right.
+    Tracks each label's index label-major (see above): a step at position i
+    puts label m + 1 at index i - 1 and moves every label at or after that
+    index one to the right.  One flat scatter then inverts every row at once.
     """
-    at = np.empty((len(steps), n), dtype=np.int8)  # at[:, k]: the index of label k + 1
-    at[:, :3] = (0, 1, 2)
+    at = np.empty((n, len(steps)), dtype=np.int8)  # at[k]: the index of label k + 1 in each row
+    at[:3] = np.arange(3, dtype=np.int8)[:, None]
+    at[3:] = steps.T - 1  # where each step puts its label, before the later steps move it
     for m in range(3, n):
-        index = steps[:, m - 3] - 1
-        placed = at[:, :m]
-        placed += placed >= index[:, None]
-        at[:, m] = index
-    labels = np.empty_like(at)
-    labels[np.arange(len(steps))[:, None], at] = np.arange(1, n + 1, dtype=np.int8)
+        at[:m] += at[:m] >= at[m]
+    labels = np.empty((len(steps), n), dtype=np.int8)
+    labels.ravel()[at.T + np.arange(0, at.size, n)[:, None]] = np.arange(1, n + 1, dtype=np.int8)
     return labels
 
 

@@ -186,6 +186,57 @@ def test_nine_signs_of_lemma_f_never_lay_flat():
     assert tight == {10, 12, 13, 14}
 
 
+def _key_offset(state: int, pairs: tuple[int, ...]) -> int:
+    """The summed _STEP key offset of one move per pair-equality bit, from state.
+
+    A few moves shift a tripled coordinate by far less than a field holds, so an offset
+    equal to the number of moves is that many in the index field and 0 in both coordinates.
+    """
+    offset = 0
+    for equal in pairs:
+        state = geometry._NEXT[12 * equal + state]
+        offset += geometry._STEP[state]
+    return offset
+
+
+_FREE_PAIRS = list(product((0, 1), repeat=2))  # the two pairs read before a lemma's run
+
+
+def test_lemma_d_from_the_twelve_walk_states():
+    # moves i..i + 5 read two free pairs and then four unequal ones: cell i + 5 is cell i - 1
+    for state, free in product(range(12), _FREE_PAIRS):
+        assert _key_offset(state, free + (0,) * 4) == 6, (state, free)
+
+
+def test_lemma_f_from_the_twelve_walk_states():
+    # moves j + 1..j + 10 read two free pairs and then a window of (u u u e e)^inf at one
+    # of its 5 phases: cell j + 10 is cell j
+    for state, free, phase in product(range(12), _FREE_PAIRS, range(5)):
+        window = tuple(int(pair == "e") for pair in ("uuuee" * 3)[phase : phase + 8])
+        assert _key_offset(state, free + window) == 10, (state, free, phase)
+
+
+def test_walk_window_congruence_from_the_twelve_walk_states():
+    # the maps a -> c + eps * a of the window congruence (above geometry.bulk_printable);
+    # a mirror, eps = -1, turns left into right
+    def image(c: int, eps: int, state: int) -> int:
+        a, right = state % 6, state // 6
+        return (c + eps * a) % 6 + 6 * (right if eps == 1 else 1 - right)
+
+    maps = list(product(range(6), (1, -1)))
+    for (c, eps), state, equal in product(maps, range(12), (0, 1)):
+        after = geometry._NEXT[12 * equal + state]
+        assert image(c, eps, after) == geometry._NEXT[12 * equal + image(c, eps, state)]
+    dx, dy = geometry._DX, geometry._DY
+    for a in range(6):
+        # a -> a + 1 turns a move by 60 degrees and a -> -a swaps x and y: lattice isometries
+        assert (dx[(a + 1) % 6], dy[(a + 1) % 6]) == (-dy[a], dx[a] + dy[a])
+        assert (dx[-a % 6], dy[-a % 6]) == (dy[a], dx[a])
+    assert sorted(image(c, eps, 0) for c, eps in maps) == list(range(12))
+    # the walk's first move, which reads no pair, enters state 0 as a move from state 5 does
+    assert geometry._NEXT[5] == 0
+
+
 class _TakeRecorder:
     """geometry._CHUNK_TABLE that keeps what each bulk_printable chunk takes from it."""
 

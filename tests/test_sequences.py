@@ -240,12 +240,17 @@ def test_batch_histories_and_labels_match_scalar_seeded_rows():
 
 def test_batch_histories_on_orbit_members_up_to_full_width():
     # any valid mask, not only canonical ones, the uint32/uint64 switch after n = 32,
-    # and the 64-bit shifts at n = 64
+    # and the 64-bit shifts at n = 64; _labels' flat scatter over rows up to 64 wide,
+    # with int8 indices up to 63
     rng = random.Random(5)
     for n in (25, 31, 32, 33, 40, 63, 64):
         rows = [shuffled(grown_to(n, rng), rng, "si") for _ in range(20)]
         masks = np.array([to_mask(t) for t in rows], dtype=np.uint64)
-        assert sequences._histories(masks, n).tolist() == [naive_reduction_history(t) for t in rows]
+        histories = [naive_reduction_history(t) for t in rows]
+        steps = sequences._histories(masks, n)
+        assert steps.tolist() == histories
+        labels = [tuple(row) for row in sequences._labels(steps, n).tolist()]
+        assert labels == [build_pattern(h).labels for h in histories]
 
 
 def test_contract_takes_leftmost_valid_pair():
