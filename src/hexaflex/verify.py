@@ -354,14 +354,8 @@ def _suite_class_count(max_n: int) -> None:
         ladder = [record.signs for record in sequences.enumerate_classes(n)]
         for above, below in zip(ladder, ladder[1:]):
             _check(above > below, f"H({n}): ladder class {below} is not below {above}")
-        if n <= 10:
+        if n <= 12:  # naive_classes holds canonical forms, so equal means canonical too
             _check(naive_classes(n) == ladder, f"H({n}): ladder differs from the naive scan")
-        if n <= 12:
-            for signs in ladder:
-                _check(
-                    signs == sequences.canonicalize(signs),
-                    f"H({n}): ladder class {signs} is not its canonical form",
-                )
 
 
 def _suite_printable(max_n: int) -> None:

@@ -164,7 +164,8 @@ def test_stdout_matches_recorded_digest(command):
         env=env,
         timeout=120,  # a hung command fails here, named, not at CI's job limit
     )
-    assert proc.returncode == 0
+    failures = [line for line in proc.stdout.decode().splitlines() if line.startswith("FAIL ")]
+    assert proc.returncode == 0, "\n".join([*failures, proc.stderr.decode()])
     assert proc.stderr == b""
     assert proc.stdout.count(b"\n") == DIGESTS[command]["lines"]
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[command]["sha256"]

@@ -129,15 +129,15 @@ def test_bulk_matches_full_orbit_oracle():
 
 
 def test_five_alternating_signs_never_lay_flat():
-    # Lemma D (above geometry.bulk_printable) from the walk alone, for every valid string
-    # of length 3..14: five alternating signs from k send cell i + 5 back to cell i - 1
+    # Lemma D (above geometry.bulk_printable) from the walk alone, for every class of
+    # length 3..14: five alternating signs from k send cell i + 5 back to cell i - 1.
+    # A cyclic run of alternating signs and printability hold on the whole orbit or on
+    # none of it; test_lemma_d_from_the_twelve_walk_states proves the step for every member
     tight = set()
     for n in range(3, 15):
-        for digits in product("10", repeat=n):
-            bits = "".join(digits)
-            signs = _signs(bits)
-            if not is_valid(signs):
-                continue
+        for record in enumerate_classes(n):
+            signs = record.signs
+            bits = "".join("1" if a > 0 else "0" for a in signs)
             k = _alternating_start(bits, 5)
             if k >= 0:
                 i = k or n  # moves i..i + 5 need i >= 1
@@ -162,16 +162,16 @@ def _pattern_start(bits: str, length: int) -> int:
 
 
 def test_nine_signs_of_lemma_f_never_lay_flat():
-    # Lemma F (above geometry.bulk_printable) from the walk alone, for every valid string
-    # of length 3..14: eight pairs from q that read as a window send cell j + 10 back to
-    # cell j, where j + 1 = q (or n, for q = 0)
+    # Lemma F (above geometry.bulk_printable) from the walk alone, for every class of
+    # length 3..14: eight pairs from q that read as a window send cell j + 10 back to
+    # cell j, where j + 1 = q (or n, for q = 0).  A reversed window reads in (eeuuu)^inf,
+    # a shift of (uuuee)^inf, so a window, like printability, holds on the whole orbit or
+    # on none of it; test_lemma_f_from_the_twelve_walk_states proves the step for every member
     found, tight = set(), set()
     for n in range(3, 15):
-        for digits in product("10", repeat=n):
-            bits = "".join(digits)
-            signs = _signs(bits)
-            if not is_valid(signs):
-                continue
+        for record in enumerate_classes(n):
+            signs = record.signs
+            bits = "".join("1" if a > 0 else "0" for a in signs)
             q = _pattern_start(bits, 8)
             if q >= 0:
                 found.add(n)

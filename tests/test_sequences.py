@@ -24,11 +24,7 @@ from hexaflex.sequences import (
     reverse,
     signs_from_mask,
 )
-from hexaflex.verify import (
-    naive_classes,
-    naive_longest_run_positions,
-    naive_reduction_history,
-)
+from hexaflex.verify import naive_longest_run_positions, naive_reduction_history
 
 from reference_table import paper_sum_set
 from support import grown_to, shuffled, to_mask
@@ -356,13 +352,6 @@ def test_enumerate_classes_n6():
     assert [r.printable for r in records] == [True, True, True]
 
 
-def test_ladder_matches_naive_scan_in_order():
-    for n in range(3, 13):
-        masks = canonical_masks(n)
-        assert masks.dtype == sequences._word(n)
-        assert [signs_from_mask(m, n) for m in masks.tolist()] == naive_classes(n)
-
-
 def test_ladder_step_at_full_mask_width():
     # one parent of length 63 extended to 64 bits, against the tuple-level canonical forms
     # of the extensions whose new pair is the first or the last pair of a longest run (Lemma R')
@@ -526,10 +515,12 @@ def test_sorted_unique_matches_np_unique():
 
 
 def test_ladder_canonical_against_tuple_oracle():
-    # above n = 12 the naive scan is too slow; check order and a seeded sample
+    # verify's class-count suite checks every level up to n = 12 against the naive
+    # scan; this checks each level's word and order and a seeded sample of up to 300
     rng = np.random.default_rng(19)
-    for n in range(13, 27):
+    for n in range(3, 27):
         masks = canonical_masks(n)
+        assert masks.dtype == sequences._word(n)
         assert (masks[:-1] > masks[1:]).all()
         for m in masks[rng.choice(len(masks), min(300, len(masks)), replace=False)].tolist():
             signs = signs_from_mask(m, n)
@@ -566,8 +557,6 @@ def test_ladder_grown_one_parent_per_block(monkeypatch):
     expected = {n: canonical_masks(n).copy() for n in range(3, 19)}
     monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
     monkeypatch.setattr(sequences, "_BLOCK_BYTES", 1)
-    for n in range(3, 13):
-        assert [signs_from_mask(m, n) for m in canonical_masks(n).tolist()] == naive_classes(n)
     for n in range(3, 19):
         assert np.array_equal(canonical_masks(n), expected[n])
         assert not canonical_masks(n).flags.writeable
