@@ -56,14 +56,6 @@ def render_strip(strip: TriangleStrip, labels: StripLabels, side: str = "front",
     return "\n".join(parts)
 
 
-class _Formats(dict):
-    """_fmt of each float, computed on first lookup; one instance per document."""
-
-    def __missing__(self, v: float) -> str:
-        text = self[v] = _fmt(v)
-        return text
-
-
 def _svg_lines(
     cells: Sequence[LatticeCell], row: Sequence[int], side: str, scale: float
 ) -> list[str]:
@@ -102,7 +94,10 @@ def _svg_lines(
     px = [(x - xmin) * scale for x in xs]
     # flip y: lattice y grows upward, SVG y grows downward
     py = [(ymax - y) * scale for y in ys]
-    fmt = _Formats()
+    tris = list(zip(*[iter(ranks)] * 3))  # each cell's corner ranks
+    cx = [(px[p] + px[q] + px[r]) / 3.0 for p, q, r in tris]  # each cell's text centre
+    cy = [(py[p] + py[q] + py[r]) / 3.0 for p, q, r in tris]
+    fmt = {v: _fmt(v) for v in {*px, *py, w, h, *cx, *cy}}
     fx, fy = list(map(fmt.__getitem__, px)), list(map(fmt.__getitem__, py))
     pt = [f"{x},{y}" for x, y in zip(fx, fy)]
     printed = len(set(pt))  # coordinates are printed to 0.001
@@ -124,7 +119,6 @@ def _svg_lines(
         " text-anchor: middle; dominant-baseline: central; fill: black; }",
         "  </style>",
     ]
-    tris = list(zip(*[iter(ranks)] * 3))  # each cell's corner ranks
     parts += [f'  <polygon points="{pt[p]} {pt[q]} {pt[r]}"/>' for p, q, r in tris]
     # an edge is its rank pair i < j, as i * size + j; corners() lists an up
     # cell's corners in rank order p < r < q and a down cell's as q < p < r
@@ -138,9 +132,7 @@ def _svg_lines(
     for lines, cls in ((edges - folds, "solid"), (folds, "fold")):
         parts += [f'  <line class="{cls}" {start[e // size]} {end[e % size]}/>' for e in sorted(lines)]
     parts += [
-        f'  <text x="{fmt[(px[p] + px[q] + px[r]) / 3.0]}"'
-        f' y="{fmt[(py[p] + py[q] + py[r]) / 3.0]}">{value}</text>'
-        for (p, q, r), value in zip(tris, row)
+        f'  <text x="{fmt[x]}" y="{fmt[y]}">{value}</text>' for x, y, value in zip(cx, cy, row)
     ]
     parts.append("</svg>")
     return parts

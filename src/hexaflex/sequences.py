@@ -6,8 +6,8 @@ shift, reversal, or global sign inversion.  This module provides the orbit
 operations, a canonical form, the extend/reduce moves that grow and shrink
 sequences, validity (reachability from the length-3 base), enumeration
 of every equivalence class, grown level by level by extension, and the
-extension histories, face labels and JSON lines of a whole level, a block
-of classes at a time.
+face labels and JSON lines of a whole level, a block of classes at a time,
+the labels from one replay of each block's extension histories.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _require_valid(s: Iterable[int]) -> SignSequence:
     return t
 
 
-# The contraction rule of reduction_history and _histories: contract at the
+# The contraction rule of reduction_history and _labels: contract at the
 # leftmost equal pair (p, p + 1), cyclically, whose result is valid.  Three
 # lemmas let both kernels skip the sum, the ends and the wrapped pair; a
 # fourth, Lemma R', lets the class ladder skip most extensions.
@@ -508,11 +508,11 @@ def signs_from_mask(m: int, n: int) -> SignSequence:
 
 
 # ---------------------------------------------------------------------------
-# Histories and labels of a whole level.  _histories follows the rule of
-# reduction_history and _labels that of build_pattern, on the ladder's masks:
+# Labels of a whole level.  _labels replays the rule of reduction_history and
+# inserts each label as build_pattern does, in one pass over the ladder's masks:
 # position p of a length-L mask sits at bit L - p, so the leftmost valid
 # position is the highest valid bit.  Masks keep their word (see _word).
-# _labels keeps label indices label-major, (n, rows): one contiguous pass per insertion.
+# Label indices are kept label-major, (n, rows): one contiguous pass per insertion.
 
 
 def _rotl(x: np.ndarray, length: int, r: int | np.ndarray = 1) -> np.ndarray:
@@ -540,16 +540,19 @@ def _contract(x: np.ndarray, length: int) -> np.ndarray:
     return (x >> (j + 1)) << j | merged << (j - 1) | x & ((1 << (j - 1)) - 1)
 
 
-def _histories(masks: np.ndarray, n: int) -> np.ndarray:
-    """reduction_history of each length-n mask, as an int8 (rows, n - 3) array.
+def _labels(masks: np.ndarray, n: int) -> np.ndarray:
+    """build_pattern(reduction_history(signs)).labels of each length-n mask, as int8 (rows, n).
 
     Every row is contracted down to length 3 together, never at the wrapped
     pair (see the lemmas above reduction_history); the replay then
     compares all L extensions of each row with the L + 1 rotations of its
     next chain entry and takes the first match, all in the word of n (see _word).
+    The step i that it takes puts label L + 1 at index i - 1 and moves every
+    label at or after that index one to the right, as build_pattern does; one
+    flat scatter then inverts every row at once.
     """
-    # int8 holds every step and label, each <= n
-    n = check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the history kernel")
+    # int8 holds every label and its index, each <= n
+    n = check_size(n, min(MAX_N, np.iinfo(np.int8).max), "the label kernel")
     chain = [np.asarray(masks).astype(_word(n), copy=False)]
     # contractions move a sum by 3, so one check here covers every length (Lemma C)
     if ((2 * np.bitwise_count(chain[0]).astype(np.int64) - n) % 3).any():
@@ -558,7 +561,8 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
         chain.append(_contract(chain[-1], length))
     cur = chain.pop()
     columns = np.arange(len(cur))
-    steps = np.empty((len(cur), n - 3), dtype=np.int8)
+    at = np.empty((n, len(cur)), dtype=np.int8)  # at[k]: the index of label k + 1 in each row
+    at[:3] = np.arange(3, dtype=np.int8)[:, None]
     for length in range(3, n):
         target = chain.pop()
         grown = _extensions(cur, length)
@@ -573,24 +577,11 @@ def _histories(masks: np.ndarray, n: int) -> np.ndarray:
         best = np.multiply(match.view(np.uint8), weights, out=hit.view(np.uint8)).max(axis=0)
         if not best.all():
             raise ValueError(f"no extension matches its chain entry at length {length + 1}")
-        steps[:, length - 3] = length + 1 - best
-        cur = grown[length - best, columns]
-    return steps
-
-
-def _labels(steps: np.ndarray, n: int) -> np.ndarray:
-    """build_pattern(history).labels of each row of steps, as an int8 (rows, n) array.
-
-    Tracks each label's index label-major (see above): a step at position i
-    puts label m + 1 at index i - 1 and moves every label at or after that
-    index one to the right.  One flat scatter then inverts every row at once.
-    """
-    at = np.empty((n, len(steps)), dtype=np.int8)  # at[k]: the index of label k + 1 in each row
-    at[:3] = np.arange(3, dtype=np.int8)[:, None]
-    at[3:] = steps.T - 1  # where each step puts its label, before the later steps move it
-    for m in range(3, n):
-        at[:m] += at[:m] >= at[m]
-    labels = np.empty((len(steps), n), dtype=np.int8)
+        np.subtract(length, best, out=at[length])  # the step L + 1 - best puts its label here
+        at[:length] += at[:length] >= at[length]
+        cur = grown[at[length], columns]  # extension i is row i - 1, as its label's index
+        del grown, match, hit  # not held through the next length or the scatter's int64 index
+    labels = np.empty((len(cur), n), dtype=np.int8)
     labels.ravel()[at.T + np.arange(0, at.size, n)[:, None]] = np.arange(1, n + 1, dtype=np.int8)
     return labels
 
@@ -602,7 +593,8 @@ def class_rows(
 
     The masks are canonical_masks(n), the ladder's, so every row is a class.
     The flags are geometry.bulk_printable's and the labels, an int8 (rows, n)
-    array, are build_pattern(reduction_history(signs)).labels of each row.
+    array, are build_pattern(reduction_history(signs)).labels of each row,
+    from one replay of the block (_labels).
     This is the one place that cuts a level for the row kernels (_grow and
     _orbit_max cut their own blocks), each block sized by the largest per-row
     temporary of those kernels: the walk's int32 keys, 4n - 1 per row.
@@ -615,7 +607,7 @@ def class_rows(
     for start in range(0, len(masks), block):
         chunk = masks[start : start + block]
         sums = 2 * np.bitwise_count(chunk).astype(np.int64) - n
-        faces = _labels(_histories(chunk, n), n) if labels else None
+        faces = _labels(chunk, n) if labels else None
         yield chunk, sums, geometry.bulk_printable(chunk, n), faces
 
 

@@ -456,12 +456,12 @@ def test_verify_reports_a_crashing_suite_and_runs_the_rest(capsys, monkeypatch):
 
 def test_verify_reports_any_exception_type(capsys, monkeypatch):
     def faulty(masks, n):
-        raise IndexError("simulated history fault")
+        raise IndexError("simulated label fault")
 
-    monkeypatch.setattr(sequences, "_histories", faulty)
+    monkeypatch.setattr(sequences, "_labels", faulty)
     assert run(["verify", "--max-n", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "FAIL labeling: IndexError: simulated history fault"
+    assert lines[-1] == "FAIL labeling: IndexError: simulated label fault"
     assert lines[:-1] == [f"PASS {name}" for name in list(verify._SUITES)[:-1]]
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexaflex import sequences
 from hexaflex.labeling import PatternPath, build_pattern, strip_labels
 from hexaflex.sequences import (
     canonical_masks,
@@ -39,12 +38,11 @@ def test_malformed_history():
 
 
 def test_build_pattern_takes_numpy_steps():
-    # the batch kernel emits each history as a row of int8 steps
+    # each history as a row of int8 steps
     n = 11
-    masks = canonical_masks(n)
-    for mask, row in zip(masks.tolist(), sequences._histories(masks, n)):
+    for mask in canonical_masks(n).tolist():
         history = reduction_history(signs_from_mask(mask, n))
-        assert build_pattern(row) == build_pattern(history)
+        assert build_pattern(np.array(history, dtype=np.int8)) == build_pattern(history)
     assert build_pattern(np.array([1, 2])) == build_pattern([1, 2])
     with pytest.raises(ValueError, match=r"history step 5 out of range 1\.\.4"):
         build_pattern(np.array([1, 5], dtype=np.int64))

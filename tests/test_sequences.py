@@ -212,13 +212,11 @@ def test_reduction_history_matches_naive_on_orbit_members():
 
 
 def _assert_batch_matches_scalar(masks, n):
-    steps = sequences._histories(masks, n)
-    labels = sequences._labels(steps, n)
-    assert steps.dtype == labels.dtype == np.int8
-    assert steps.shape == (len(masks), n - 3) and labels.shape == (len(masks), n)
-    for m, batch_steps, batch_labels in zip(masks.tolist(), steps.tolist(), labels.tolist()):
+    # the labels fix the history: label n sits at index (last step - 1)
+    labels = sequences._labels(masks, n)
+    assert labels.dtype == np.int8 and labels.shape == (len(masks), n)
+    for m, batch_labels in zip(masks.tolist(), labels.tolist()):
         history = reduction_history(signs_from_mask(m, n))
-        assert batch_steps == history
         assert tuple(batch_labels) == build_pattern(history).labels
 
 
@@ -242,11 +240,8 @@ def test_batch_histories_on_orbit_members_up_to_full_width():
     for n in (25, 31, 32, 33, 40, 63, 64):
         rows = [shuffled(grown_to(n, rng), rng, "si") for _ in range(20)]
         masks = np.array([to_mask(t) for t in rows], dtype=np.uint64)
-        histories = [naive_reduction_history(t) for t in rows]
-        steps = sequences._histories(masks, n)
-        assert steps.tolist() == histories
-        labels = [tuple(row) for row in sequences._labels(steps, n).tolist()]
-        assert labels == [build_pattern(h).labels for h in histories]
+        labels = [tuple(row) for row in sequences._labels(masks, n).tolist()]
+        assert labels == [build_pattern(naive_reduction_history(t)).labels for t in rows]
 
 
 def test_contract_takes_leftmost_valid_pair():
@@ -269,7 +264,7 @@ def test_contract_takes_leftmost_valid_pair():
                     contracted[to_mask(signs)] = to_mask(reduce(signs, p))
                     break
         masks = np.array(list(contracted), dtype=np.uint64)
-        # the uint32 copy, as _histories contracts for n <= 32
+        # the uint32 copy, as _labels contracts for n <= 32
         for x in [masks] + ([masks.astype(np.uint32)] if length <= 32 else []):
             shorter = sequences._contract(x, length)
             assert shorter.dtype == x.dtype
@@ -286,12 +281,12 @@ def test_contract_takes_leftmost_valid_pair():
 
 def test_batch_histories_reject_invalid_masks_and_sizes():
     with pytest.raises(ValueError):
-        sequences._histories(np.array([0b1010], dtype=np.uint64), 4)  # alternating
+        sequences._labels(np.array([0b1010], dtype=np.uint64), 4)  # alternating
     with pytest.raises(ValueError):
-        sequences._histories(np.array([0b1111], dtype=np.uint64), 4)  # sum 4 is not a multiple of 3
+        sequences._labels(np.array([0b1111], dtype=np.uint64), 4)  # sum 4 is not a multiple of 3
     for n in (2, sequences.MAX_N + 1):
         with pytest.raises(ValueError):
-            sequences._histories(np.array([0], dtype=np.uint64), n)
+            sequences._labels(np.array([0], dtype=np.uint64), n)
 
 
 def test_class_rows_one_row_per_block(monkeypatch):
@@ -596,7 +591,7 @@ def test_numpy_integer_n_computes_as_a_python_int(kind):
     n, masks = kind(14), canonical_masks(14)
     assert canonical_masks(n) is masks
     assert np.array_equal(geometry.bulk_printable(masks, n), geometry.bulk_printable(masks, 14))
-    assert np.array_equal(sequences._histories(masks, n), sequences._histories(masks, 14))
+    assert np.array_equal(sequences._labels(masks, n), sequences._labels(masks, 14))
     for block, want in zip(
         sequences.class_rows(n, labels=True), sequences.class_rows(14, labels=True), strict=True
     ):
