@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .counting import hexaflexagon_count
+from . import counting
 
 __all__ = [
     "ClassRecord",
@@ -317,50 +317,42 @@ def _sorted_unique(x: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
 
 
 def _orbit_max(x: np.ndarray, n: int) -> np.ndarray:
-    """Largest rotation of each mask or of its reversal, by chunks of rows.
-
-    The window passes stream their temporaries about 4n times, so each
-    chunk is sized to keep them in cache: _BLOCK_BYTES // 64 rows.
-    """
-    chunk = max(1, _BLOCK_BYTES // 64)
-    best = np.empty(len(x), dtype=x.dtype)
-    for start in range(0, len(x), chunk):
-        best[start : start + chunk] = _window_max(x[start : start + chunk], n)
-    return best
-
-
-def _window_max(x: np.ndarray, n: int) -> np.ndarray:
     """Largest rotation of each mask or of its reversal, in the word of x.
 
     A window word of b bits holds one rotation in its top n bits and the
     next b - n bits of the cycle below them, so each left shift by
     s < b + 1 - n puts one more rotation on top.  The bits below never
     decide a maximum.  One window covers every rotation up to n = b / 2;
-    above that a new window starts every b + 1 - n rotations.
+    above that a new window starts every b + 1 - n rotations.  The passes
+    stream their temporaries about 4n times, so rows go in chunks of
+    _BLOCK_BYTES // 64, whose temporaries stay in cache.
     """
     bits = 8 * x.itemsize
     span = bits + 1 - n  # rotations per window
+    chunk = max(1, _BLOCK_BYTES // 64)
     best = np.zeros_like(x)
-    window = np.empty_like(x)
-    shifted = np.empty_like(x)
-    for v in (x, _bitrev(x, n)):
-        for start in range(0, n, span):
-            # the cycle from rotation start, repeated down the word
-            np.left_shift(v, bits - n + start, out=window)
-            if start:
-                np.right_shift(v, n - start, out=shifted)
-                shifted <<= bits - n
-                window |= shifted
-            period = n
-            while period < bits:
-                np.right_shift(window, period, out=shifted)
-                window |= shifted
-                period *= 2
-            np.maximum(best, window, out=best)
-            for s in range(1, min(span, n - start)):
-                np.left_shift(window, s, out=shifted)
-                np.maximum(best, shifted, out=best)
-    best >>= bits - n
+    for lo in range(0, len(x), chunk):
+        rows, top = x[lo : lo + chunk], best[lo : lo + chunk]
+        window = np.empty_like(top)
+        shifted = np.empty_like(top)
+        for v in (rows, _bitrev(rows, n)):
+            for start in range(0, n, span):
+                # the cycle from rotation start, repeated down the word
+                np.left_shift(v, bits - n + start, out=window)
+                if start:
+                    np.right_shift(v, n - start, out=shifted)
+                    shifted <<= bits - n
+                    window |= shifted
+                period = n
+                while period < bits:
+                    np.right_shift(window, period, out=shifted)
+                    window |= shifted
+                    period *= 2
+                np.maximum(top, window, out=top)
+                for s in range(1, min(span, n - start)):
+                    np.left_shift(window, s, out=shifted)
+                    np.maximum(top, shifted, out=top)
+        top >>= bits - n
     return best
 
 
@@ -466,7 +458,7 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
     the buffer raises ArithmeticError, the ladder's one count check.
     """
     block = max(1, _BLOCK_BYTES // (8 * (n - 1)))
-    level = np.empty(hexaflexagon_count(n), dtype=_word(n))
+    level = np.empty(counting.hexaflexagon_count(n), dtype=_word(n))
     size = 0
     for start in range(0, len(parent), block):
         new = _canonical_extensions(parent[start : start + block], n)
@@ -478,10 +470,7 @@ def _grow(parent: np.ndarray, n: int) -> np.ndarray:
         size = len(new)
     if size < len(level):
         raise ArithmeticError(f"{size} classes grown at n={n}, but H({n}) = {len(level)}")
-    half = size // 2  # reversed in place, through a copy of the first half
-    head = level[:half].copy()
-    level[:half] = level[::-1][:half]
-    level[size - half :] = head[::-1]
+    level[:] = level[::-1]  # numpy copies an overlapping reversed source first
     level.flags.writeable = False
     return level
 

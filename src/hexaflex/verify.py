@@ -392,15 +392,14 @@ def _suite_labeling(max_n: int) -> None:
     _check(tri.top == (1, 1, 3, 3, 2, 2, 1, 1, 3), f"trihexa top row {tri.top}")
     _check(tri.bottom == (3, 2, 2, 1, 1, 3, 3, 2, 2), f"trihexa bottom row {tri.bottom}")
     for n in range(3, min(max_n, 12) + 1):
-        batch = sequences._labels(sequences.canonical_masks(n), n).tolist()
-        for record, batch_labels in zip(sequences.enumerate_classes(n), batch):
+        for record in sequences.enumerate_classes(n, labels=True):
             history = sequences.reduction_history(record.signs)
             naive = naive_reduction_history(record.signs)
             _check(history == naive, f"history {history} != naive {naive} for {record.signs}")
             pattern = labeling.build_pattern(history)
             _check(
-                list(pattern.labels) == batch_labels,
-                f"batch labels {batch_labels} != {pattern.labels} for {record.signs}",
+                record.labels == pattern.labels,
+                f"batch labels {record.labels} != {pattern.labels} for {record.signs}",
             )
             for glue in (False, True):
                 fast = labeling.strip_labels(pattern, glue)

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hexaflex import geometry, sequences
+from hexaflex import counting, geometry, sequences
 from hexaflex.counting import hexaflexagon_count
 from hexaflex.geometry import (
     LatticeCell,
@@ -317,7 +317,7 @@ def test_printable_count_limit_guard():
 def test_printable_count_checks_class_count(monkeypatch):
     # the ladder checks each level as it grows it, so start it again under the patch
     monkeypatch.setattr(sequences, "_LADDER", {3: canonical_masks(3)})
-    monkeypatch.setattr(sequences, "hexaflexagon_count", lambda n: hexaflexagon_count(n) - 1)
+    monkeypatch.setattr(counting, "hexaflexagon_count", lambda n: hexaflexagon_count(n) - 1)
     with pytest.raises(ArithmeticError):
         printable_class_count(8)
 
