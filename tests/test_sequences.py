@@ -449,10 +449,8 @@ def test_ladder_rejects_a_level_with_duplicates(monkeypatch):
     assert 8 not in sequences._LADDER
 
 
-def test_orbit_max_and_bitrev_match_strings(monkeypatch):
-    # every width, so the window boundaries at n = 32, 33 and 64 are crossed, in
-    # orbit chunks of 7 rows, most calls ending in a partial chunk
-    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 7 * 64)
+def test_orbit_max_and_bitrev_match_strings():
+    # every width, so the window boundaries at n = 32, 33 and 64 are crossed
     rng = np.random.default_rng(17)
     for n in range(3, sequences.MAX_N + 1):
         full = (1 << n) - 1
@@ -468,6 +466,26 @@ def test_orbit_max_and_bitrev_match_strings(monkeypatch):
             reversed_ = sequences._bitrev(x, n)
             assert reversed_.dtype == x.dtype
             assert reversed_.tolist() == [int(b[::-1], 2) for b in bits]
+            expected = [
+                max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
+                for b in bits
+            ]
+            best = sequences._orbit_max(x, n)
+            assert best.dtype == x.dtype, n
+            assert best.tolist() == expected, n
+
+
+def test_orbit_max_across_chunk_boundaries(monkeypatch):
+    # chunks of 7 rows, each call ending in a partial chunk, at every width
+    monkeypatch.setattr(sequences, "_BLOCK_BYTES", 7 * 64)
+    rng = np.random.default_rng(23)
+    for n in range(3, sequences.MAX_N + 1):
+        masks = rng.integers(0, 1 << 63, size=68, dtype=np.uint64) << np.uint64(1)
+        masks |= rng.integers(0, 2, size=len(masks), dtype=np.uint64)
+        masks &= np.uint64((1 << n) - 1)
+        words = [masks] + ([masks.astype(np.uint32)] if n <= 32 else [])
+        for x in [y for w in words for y in (w, w[::3])]:  # 68 and 23 rows
+            bits = [format(m, f"0{n}b") for m in x.tolist()]
             expected = [
                 max(int((t + t)[r : r + n], 2) for t in (b, b[::-1]) for r in range(n))
                 for b in bits
